@@ -13,6 +13,7 @@ from .game import (
     VARIANT_CODES,
     ZERO_STARTS,
     apply_move,
+    is_legal,
     is_terminal,
     legal_moves,
     new_game,

@@ -311,7 +311,7 @@ def _verify_balance_bound(records, max_n) -> bool:
         a, b = suffix_pair_edge(n)
 
         def suffix_edge_cut(state, a=a, b=b):
-            if (a in state.zero) == (b in state.zero):
+            if not (state.zero_mask >> a ^ state.zero_mask >> b) & 1:
                 raise AssertionError("suffix edge not labeled 1")
 
         worst = worst_case_vs_optimal(g, strategy, ZERO_STARTS, Objective.BALANCE,

@@ -12,6 +12,12 @@ Passing consumes the turn; it is legal only while at least two vertices
 remain unlabeled, which is the reading under which the small-path values
 this package verifies actually hold (a pass with one vertex left would hand
 the last two labels of an odd path to the zero player).
+
+A position stores the two label sets as vertex bitmasks (bit v set means
+vertex v carries that label), the same encoding the solver, the oracle and
+the Maker-Breaker solver use.  ``GameState.zero``, ``one`` and ``unlabeled``
+rebuild frozenset views of those masks for callers that want sets; the
+move functions here and the strategy harness read only the masks.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .graphs import Graph
+from .graphs import Graph, cut_size_of_mask, iter_bits
 
 
 class Player(Enum):
@@ -96,79 +102,118 @@ class IllegalMoveError(ValueError):
 
 @dataclass(frozen=True)
 class GameState:
-    """Immutable position: who has labeled what, and passes spent."""
+    """Immutable position: who has labeled what, and passes spent.
+
+    ``zero_mask`` and ``one_mask`` are disjoint vertex bitmasks of the
+    0-labeled and 1-labeled vertices.  ``zero``, ``one`` and ``unlabeled``
+    are read-only frozenset views built from the masks on each access.
+    """
 
     n: int
     variant: Variant
-    zero: frozenset[int]
-    one: frozenset[int]
+    zero_mask: int
+    one_mask: int
     passes_used: int
 
     @property
     def labeled_count(self) -> int:
-        return len(self.zero) + len(self.one)
+        return (self.zero_mask | self.one_mask).bit_count()
+
+    @property
+    def zero(self) -> frozenset[int]:
+        return frozenset(iter_bits(self.zero_mask))
+
+    @property
+    def one(self) -> frozenset[int]:
+        return frozenset(iter_bits(self.one_mask))
 
     @property
     def unlabeled(self) -> frozenset[int]:
-        return frozenset(range(self.n)) - self.zero - self.one
+        return frozenset(iter_bits(((1 << self.n) - 1) & ~(self.zero_mask | self.one_mask)))
 
 
 def new_game(g: Graph, variant: Variant) -> GameState:
-    return GameState(g.n, variant, frozenset(), frozenset(), 0)
+    return GameState(g.n, variant, 0, 0, 0)
 
 
 def is_terminal(state: GameState) -> bool:
-    return state.labeled_count == state.n
+    return (state.zero_mask | state.one_mask).bit_count() == state.n
+
+
+def _mover(state: GameState, labeled: int) -> Player:
+    starter = state.variant.starter
+    if (labeled + state.passes_used) % 2 == 0:
+        return starter
+    return Player.ONE if starter is Player.ZERO else Player.ZERO
 
 
 def to_move(state: GameState) -> Player:
-    plies = state.labeled_count + state.passes_used
-    return state.variant.starter if plies % 2 == 0 else state.variant.starter.opponent
+    return _mover(state, (state.zero_mask | state.one_mask).bit_count())
+
+
+def _may_pass(state: GameState, labeled: int) -> bool:
+    """The pass rule, for a position that is not terminal."""
+    return (
+        _mover(state, labeled) is Player.ONE
+        and state.passes_used < state.variant.pass_budget
+        and state.n - labeled >= 2
+    )
 
 
 def legal_moves(state: GameState) -> list[Move]:
-    if is_terminal(state):
+    occupied = state.zero_mask | state.one_mask
+    labeled = occupied.bit_count()
+    if labeled == state.n:
         return []
-    moves = [Move.label(v) for v in sorted(state.unlabeled)]
-    if (
-        to_move(state) is Player.ONE
-        and state.passes_used < state.variant.pass_budget
-        and state.n - state.labeled_count >= 2
-    ):
+    moves = [Move(v) for v in iter_bits(((1 << state.n) - 1) & ~occupied)]
+    if _may_pass(state, labeled):
         moves.append(PASS)
     return moves
 
 
+def is_legal(state: GameState, move: Move) -> bool:
+    """Whether ``move`` is among ``legal_moves(state)``, without building it."""
+    occupied = state.zero_mask | state.one_mask
+    labeled = occupied.bit_count()
+    if labeled == state.n or not isinstance(move, Move):
+        return False
+    v = move.vertex
+    if v is None:
+        return _may_pass(state, labeled)
+    return isinstance(v, int) and 0 <= v < state.n and not occupied >> v & 1
+
+
 def apply_move(state: GameState, move: Move) -> GameState:
-    if is_terminal(state):
+    zero, one = state.zero_mask, state.one_mask
+    occupied = zero | one
+    labeled = occupied.bit_count()
+    if labeled == state.n:
         raise IllegalMoveError("game is over")
-    mover = to_move(state)
-    if move.is_pass:
+    mover = _mover(state, labeled)
+    v = move.vertex
+    if v is None:
         if mover is not Player.ONE:
             raise IllegalMoveError("only the one player may pass")
         if state.passes_used >= state.variant.pass_budget:
             raise IllegalMoveError("no pass budget remaining")
-        if state.n - state.labeled_count < 2:
+        if state.n - labeled < 2:
             raise IllegalMoveError("passing requires at least two unlabeled vertices")
-        return GameState(state.n, state.variant, state.zero, state.one, state.passes_used + 1)
-    v = move.vertex
+        return GameState(state.n, state.variant, zero, one, state.passes_used + 1)
     if not (isinstance(v, int) and 0 <= v < state.n):
         raise IllegalMoveError(f"vertex {v!r} is out of range")
-    if v in state.zero or v in state.one:
+    if occupied >> v & 1:
         raise IllegalMoveError(f"vertex {v} is already labeled")
+    bit = 1 << v
     if mover is Player.ZERO:
-        return GameState(state.n, state.variant, state.zero | {v}, state.one, state.passes_used)
-    return GameState(state.n, state.variant, state.zero, state.one | {v}, state.passes_used)
+        return GameState(state.n, state.variant, zero | bit, one, state.passes_used)
+    return GameState(state.n, state.variant, zero, one | bit, state.passes_used)
 
 
 def edge_counts(state: GameState, g: Graph) -> tuple[int, int]:
     """(e0, e1) over fully labeled positions."""
     if not is_terminal(state):
         raise IllegalMoveError("position is not fully labeled")
-    e1 = 0
-    for u, v in g.edges:
-        if (u in state.zero) != (v in state.zero):
-            e1 += 1
+    e1 = cut_size_of_mask(g, state.zero_mask)
     return g.edge_count - e1, e1
 
 
@@ -196,8 +241,9 @@ def transcript(g: Graph, variant: Variant, moves: list[Move], objective: Objecti
     record: dict = {"variant": variant.code, "moves": entries}
     if is_terminal(state):
         labels = {}
+        zero = state.zero_mask
         for u, v in g.edges:
-            labels[f"{u}-{v}"] = int((u in state.zero) != (v in state.zero))
+            labels[f"{u}-{v}"] = (zero >> u ^ zero >> v) & 1
         record["value"] = terminal_value(state, g, objective)
         record["objective"] = objective.value
         record["edge_labels"] = labels

@@ -21,6 +21,7 @@ from .game import (
     Player,
     Variant,
     apply_move,
+    is_legal,
     is_terminal,
     legal_moves,
     new_game,
@@ -44,7 +45,7 @@ def _strategy_step(g: Graph, state: GameState, strat: Strategy, last_move: Move 
     """Apply the strategy's forced moves until the adversary's turn."""
     while not is_terminal(state) and to_move(state) is strat.role:
         move = strat.choose(state, last_move)
-        if move not in legal_moves(state):
+        if not is_legal(state, move):
             raise StrategyMoveError(state, move, "not among the legal moves")
         strat.notify(state, move, strat.role)
         state = apply_move(state, move)
@@ -86,7 +87,7 @@ def _sweep(g, strategy, variant, objective, terminal_check, want_line):
             if terminal_check is not None:
                 terminal_check(state)
             return terminal_value(state, g, objective)
-        key = (state.zero, state.one, state.passes_used, strat.state_key())
+        key = (state.zero_mask, state.one_mask, state.passes_used, strat.state_key())
         cached = memo.get(key)
         if cached is not None:
             return cached
@@ -119,7 +120,7 @@ def _sweep(g, strategy, variant, objective, terminal_check, want_line):
             move = strat.choose(state, last)
             strat.notify(state, move, strat.role)
         else:
-            key = (state.zero, state.one, state.passes_used, strat.state_key())
+            key = (state.zero_mask, state.one_mask, state.passes_used, strat.state_key())
             move = argbest[key]
             strat.notify(state, move, adversary)
         line.append(move)

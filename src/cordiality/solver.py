@@ -389,6 +389,12 @@ def solve(
             f"graph has {g.n} vertices, above the hard cap {cap}; "
             f"raise max_n or {ENV_MAX_N} to override"
         )
+    if g.edge_count > _BIAS - 1:
+        # past this, a real bound can collide with the table's +-(_BIAS - 1)
+        # "unknown" sentinels and a stored entry can be false
+        raise SolverCapError(
+            f"graph has {g.edge_count} edges, above the {_BIAS - 1} a table entry can hold"
+        )
     searcher = _Searcher(g, variant, objective, opts)
     if g.n == 0:
         return SolveResult(value=0, best_move=None, nodes=0, principal_line=[])

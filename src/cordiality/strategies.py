@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .branching import BranchDecomposition, find_branch_in
 from .game import GameState, Move, Player, Variant
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, vertex_mask
 from .trees import NonTreeError
 
 
@@ -45,6 +45,12 @@ class Strategy:
     def state_key(self) -> object:
         return ()
 
+    def _copy(self) -> "Strategy":
+        """A shallow copy; for ``clone`` of policies whose fields are immutable."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
+
 
 def _min_free(free: set[int]) -> int:
     return min(free)
@@ -62,12 +68,18 @@ class _ScriptBase(Strategy):
     def __init__(self, verts: tuple[int, ...]):
         self.verts = tuple(verts)
         self._pos = {v: i + 1 for i, v in enumerate(self.verts)}
+        self._bits = tuple((i + 1, 1 << v) for i, v in enumerate(self.verts))
 
     def _view(self, state: GameState, last_move: Move | None):
-        own = {self._pos[v] for v in state.zero if v in self._pos}
-        opp = {self._pos[v] for v in state.one if v in self._pos}
-        free = {i + 1 for i, v in enumerate(self.verts)
-                if v not in state.zero and v not in state.one}
+        zero, one = state.zero_mask, state.one_mask
+        own, opp, free = set(), set(), set()
+        for p, bit in self._bits:
+            if zero & bit:
+                own.add(p)
+            elif one & bit:
+                opp.add(p)
+            else:
+                free.add(p)
         prompted = None
         if last_move is not None and not last_move.is_pass:
             prompted = self._pos.get(last_move.vertex)
@@ -174,10 +186,7 @@ class _FirstMoveMemory(_ScriptBase):
             self.opp_first = self._pos[move.vertex]
 
     def clone(self):
-        twin = type(self)(self.verts)
-        twin.opened_by_us = self.opened_by_us
-        twin.opp_first = self.opp_first
-        return twin
+        return self._copy()
 
     def state_key(self):
         return (self.opened_by_us, self.opp_first)
@@ -387,13 +396,15 @@ class SplitStrategy(Strategy):
                  provenance: str):
         self.main = main
         self.branch = branch
-        self.main_verts = main_verts
-        self.branch_verts = branch_verts
+        self.main_mask = vertex_mask(main_verts)
+        self.branch_mask = vertex_mask(branch_verts)
         self.provenance = provenance
 
     def clone(self):
-        return SplitStrategy(self.main.clone(), self.branch.clone(),
-                             self.main_verts, self.branch_verts, self.provenance)
+        twin = self._copy()
+        twin.main = self.main.clone()
+        twin.branch = self.branch.clone()
+        return twin
 
     def state_key(self):
         return (self.main.state_key(), self.branch.state_key())
@@ -403,17 +414,17 @@ class SplitStrategy(Strategy):
         self.branch.notify(state_before, move, mover)
 
     def choose(self, state: GameState, last_move: Move | None) -> Move:
-        unlabeled = state.unlabeled
-        main_free = self.main_verts & unlabeled
-        branch_free = self.branch_verts & unlabeled
+        occupied = state.zero_mask | state.one_mask
+        main_free = self.main_mask & ~occupied
+        branch_free = self.branch_mask & ~occupied
         if last_move is None:
-            if state.labeled_count:
+            if occupied:
                 raise StrategyError(f"{self.provenance}: unprompted move mid-game")
             return self.main.choose(state, None)
         if last_move.is_pass:
             raise StrategyError(f"{self.provenance}: built for pass-free variants")
         v = last_move.vertex
-        if v in self.main_verts:
+        if self.main_mask >> v & 1:
             if main_free:
                 return self.main.choose(state, last_move)
             if branch_free:
@@ -557,28 +568,28 @@ class BalancePairStrategy(Strategy):
         self.ordered = tuple(ordered)
         self.pair = (ordered[-2], ordered[-1])
         prefix = ordered[:-2]
-        self.prefix_verts = frozenset(prefix)
+        self.prefix_mask = vertex_mask(prefix)
         self.prefix_policy = BalancePairStrategy(prefix) if len(prefix) >= 2 else None
 
     def choose(self, state: GameState, last_move: Move | None) -> Move:
         if last_move is None or last_move.is_pass:
             raise StrategyError("balance strategy expects the opponent to start")
         v = last_move.vertex
-        unlabeled = state.unlabeled
+        free = ~(state.zero_mask | state.one_mask)
         near, far = self.pair
         if v in (near, far):
             other = far if v == near else near
-            if other in unlabeled:
+            if free >> other & 1:
                 return Move.label(other)
             raise StrategyError("pair closed out of order")  # pragma: no cover
-        if self.prefix_verts & unlabeled:
+        if self.prefix_mask & free:
             if self.prefix_policy is None:  # pragma: no cover - 1-vertex prefix
                 raise StrategyError("single-vertex prefix cannot be open here")
             return self.prefix_policy.choose(state, last_move)
         # the opponent just finished the prefix: take the far end
-        if far in unlabeled:
+        if free >> far & 1:
             return Move.label(far)
-        if near in unlabeled:  # pragma: no cover - defensive
+        if free >> near & 1:  # pragma: no cover - defensive
             return Move.label(near)
         raise StrategyError("no free vertex to play")  # pragma: no cover
 

@@ -158,3 +158,17 @@ def test_table_format_table():
     code, text = run_cli(["table", "--min-n", "3", "--max-n", "4", "--format", "table"])
     assert code == 0
     assert text.splitlines()[0].startswith("n")
+
+
+def test_force_refuses_graph_past_table_entry_range(tmp_path, monkeypatch):
+    import cordiality.solver
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(cordiality.solver, "_Searcher", no_search)
+    path = tmp_path / "k33.txt"
+    path.write_text("".join(f"{u} {v}\n" for u in range(33) for v in range(u + 1, 33)))
+    code, text = run_cli(["solve", "--force", "--edge-list", "--file", str(path)])
+    assert code == 3
+    assert text == ""

@@ -12,6 +12,7 @@ from cordiality import (
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
     apply_move,
+    is_legal,
     is_terminal,
     legal_moves,
     new_game,
@@ -137,3 +138,25 @@ def test_transcript_format():
     )
     assert with_pass["moves"][0] == {"player": "I", "move": "pass"}
     assert "value" not in with_pass  # not terminal
+
+
+@pytest.mark.parametrize("variant", [ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS])
+def test_is_legal_matches_legal_moves_and_views_match_masks(variant):
+    rng = random.Random(4321)
+    for graph in (path_graph(5), path_graph(6), star_graph(7)):
+        n = graph.n
+        candidates = [Move.label(v) for v in range(-1, n + 2)] + [PASS]
+        for _ in range(100):
+            state = new_game(graph, variant)
+            while True:
+                moves = legal_moves(state)
+                for move in candidates:
+                    assert is_legal(state, move) == (move in moves), (state, move)
+                zero = {v for v in range(n) if state.zero_mask >> v & 1}
+                one = {v for v in range(n) if state.one_mask >> v & 1}
+                assert state.zero == zero and state.one == one
+                assert state.unlabeled == set(range(n)) - zero - one
+                assert not state.zero_mask & state.one_mask
+                if is_terminal(state):
+                    break
+                state = apply_move(state, rng.choice(moves))

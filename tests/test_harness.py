@@ -1,0 +1,147 @@
+"""The strategy harness against a memo-free reference, and its legality check."""
+
+import pytest
+
+from cordiality import (
+    Move,
+    Objective,
+    PASS,
+    Player,
+    ONE_STARTS,
+    ONE_STARTS_WITH_PASS,
+    ZERO_STARTS,
+    StrategyMoveError,
+    apply_move,
+    balance_maximizer_strategy,
+    enumerate_trees,
+    is_terminal,
+    legal_moves,
+    new_game,
+    path_graph,
+    path_strategy,
+    small_path_strategy,
+    terminal_value,
+    to_move,
+    tree_strategy,
+    worst_case_vs_optimal,
+)
+from cordiality.strategies import Strategy
+
+ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
+PASS_FREE = (ZERO_STARTS, ONE_STARTS)
+
+
+def reference_worst(g, strategy, variant, objective):
+    """Plain recursion over every adversary reply, with no memo.
+
+    The harness memoizes adversary-to-move positions under the key
+    (zero_mask, one_mask, passes_used, strategy.state_key()).  This walks
+    the whole playout tree instead and checks that trust directly: every
+    position reached under one key must have the same subtree value, or a
+    memo hit could return the value of another history.
+    """
+    pick = max if strategy.role.opponent is Player.ONE else min
+    by_key = {}
+
+    def value(state, strat, last):
+        if is_terminal(state):
+            return terminal_value(state, g, objective)
+        mover = to_move(state)
+        if mover is strat.role:
+            move = strat.choose(state, last)
+            assert move in legal_moves(state)
+            strat.notify(state, move, mover)
+            return value(apply_move(state, move), strat, move)
+        key = (state.zero_mask, state.one_mask, state.passes_used, strat.state_key())
+        results = []
+        for move in legal_moves(state):
+            twin = strat.clone()
+            twin.notify(state, move, mover)
+            results.append(value(apply_move(state, move), twin, move))
+        best = pick(results)
+        assert by_key.setdefault(key, best) == best, f"memo key {key} holds two values"
+        return best
+
+    return value(new_game(g, variant), strategy.clone(), None)
+
+
+def assert_memo_sound(g, strategy, variant, objective):
+    expected = reference_worst(g, strategy, variant, objective)
+    assert worst_case_vs_optimal(g, strategy, variant, objective) == expected
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.code)
+def test_memo_sound_small_path_scripts(variant):
+    for n in range(3, 7):
+        assert_memo_sound(path_graph(n), small_path_strategy(n, variant), variant,
+                          Objective.CORDIALITY)
+
+
+# the split strategies refuse passes, so they run in the two pass-free variants
+@pytest.mark.parametrize("variant", PASS_FREE, ids=lambda v: v.code)
+def test_memo_sound_path_strategy(variant):
+    for n in range(3, 9):
+        assert_memo_sound(path_graph(n), path_strategy(n), variant, Objective.CORDIALITY)
+
+
+@pytest.mark.parametrize("variant", PASS_FREE, ids=lambda v: v.code)
+def test_memo_sound_tree_strategy(variant):
+    checked = 0
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            assert_memo_sound(t, tree_strategy(t), variant, Objective.CORDIALITY)
+            checked += 1
+    assert checked == 48  # 1, 1, 1, 2, 3, 6, 11, 23 trees on 1..8 vertices
+
+
+def test_memo_sound_balance_strategy():
+    for n in range(2, 9):
+        assert_memo_sound(path_graph(n), balance_maximizer_strategy(n), ZERO_STARTS,
+                          Objective.BALANCE)
+
+
+# -- the legality check on strategy moves -------------------------------------
+
+
+class _Stub(Strategy):
+    """Plays ``pick(state)`` whatever the position."""
+
+    provenance = "stub"
+
+    def __init__(self, role, pick):
+        self.role = role
+        self.pick = pick
+
+    def choose(self, state, last_move):
+        return self.pick(state)
+
+
+def _first_free_then_pass(state):
+    if state.labeled_count == 0:
+        return Move.label(0)
+    return PASS
+
+
+ILLEGAL_STUBS = {
+    # the second zero move reuses vertex 0
+    "occupied": (Player.ZERO, ZERO_STARTS, 3, lambda s: Move.label(0), Move.label(0)),
+    "out-of-range": (Player.ZERO, ZERO_STARTS, 3, lambda s: Move.label(3), Move.label(3)),
+    "negative": (Player.ZERO, ZERO_STARTS, 3, lambda s: Move.label(-1), Move.label(-1)),
+    # the one player holds the pass in this variant, the zero player never does
+    "zero-passes": (Player.ZERO, ONE_STARTS_WITH_PASS, 4, lambda s: PASS, PASS),
+    # the first pass is legal, the second exceeds the budget of one
+    "budget-spent": (Player.ONE, ONE_STARTS_WITH_PASS, 5, lambda s: PASS, PASS),
+    # one, zero, then a pass with a single vertex left on the 3-path
+    "one-left": (Player.ONE, ONE_STARTS_WITH_PASS, 3, _first_free_then_pass, PASS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ILLEGAL_STUBS))
+def test_illegal_strategy_move_raises(case):
+    role, variant, n, pick, bad = ILLEGAL_STUBS[case]
+    objective = Objective.CORDIALITY
+    with pytest.raises(StrategyMoveError) as info:
+        worst_case_vs_optimal(path_graph(n), _Stub(role, pick), variant, objective)
+    assert info.value.move == bad
+    assert bad not in legal_moves(info.value.state)
+    assert "not among the legal moves" in str(info.value)

@@ -157,3 +157,21 @@ def test_disconnected_graphs_are_supported():
                 solve(g, variant, objective).value
                 == brute_force_value(g, variant, objective)
             )
+
+
+def test_edge_cap_matches_table_entry_range(monkeypatch):
+    import cordiality.solver
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cordiality.solver, "_Searcher", reached)
+    clique = [(u, v) for u in range(33) for v in range(u + 1, 33)]  # 528 edges
+    opts = SolveOptions(max_n=10_000)
+    with pytest.raises(Reached):  # 511 edges: the sentinels are still valid bounds
+        solve(from_edges(33, clique[:511]), ZERO_STARTS, Objective.CORDIALITY, opts)
+    with pytest.raises(SolverCapError, match="512 edges"):
+        solve(from_edges(33, clique[:512]), ZERO_STARTS, Objective.CORDIALITY, opts)
