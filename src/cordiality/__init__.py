@@ -72,7 +72,6 @@ from .trees import (
     TreeCode,
     centroids,
     enumerate_trees,
-    enumerate_trees_via_prufer,
     prufer_decode,
     tree_canonical_code,
 )

@@ -19,6 +19,7 @@ import csv
 import json
 import random
 import sys
+from functools import partial
 from multiprocessing import Pool
 
 from .game import Objective, VARIANT_CODES, ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS
@@ -27,7 +28,7 @@ from .graphs import Graph, GraphError, path_graph, random_connected_graph, spide
 from .harness import worst_case_line, worst_case_vs_optimal
 from .makerbreaker import export_hypergraph, maker_breaker_value, winning_family
 from .branching import find_branch
-from .solver import SolveOptions, SolverCapError, SYMMETRY_PATH_REVERSAL, game_number, solve
+from .solver import SolveOptions, SolverCapError, SYMMETRY_NONE, SYMMETRY_PATH_REVERSAL, game_number, solve
 from .strategies import (
     balance_maximizer_strategy,
     small_path_strategy,
@@ -73,7 +74,7 @@ def make_graph(spec: str) -> list[Graph]:
 
 
 def load_graphs(args) -> list[Graph]:
-    if getattr(args, "graph", None):
+    if args.graph:
         return make_graph(args.graph)
     path = args.file
     try:
@@ -82,7 +83,7 @@ def load_graphs(args) -> list[Graph]:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        if getattr(args, "edge_list", False):
+        if args.edge_list:
             return [parse_edge_list(text)]
         return parse_graph6_file(text)
     except (Graph6Error, GraphError) as exc:
@@ -90,13 +91,18 @@ def load_graphs(args) -> list[Graph]:
 
 
 def solve_options(args) -> SolveOptions:
-    symmetry = SYMMETRY_PATH_REVERSAL if getattr(args, "symmetry", "none") == "path-reversal" else "none"
     return SolveOptions(
-        use_alpha_beta=not getattr(args, "no_alpha_beta", False),
-        parallel_root=getattr(args, "parallel", False),
-        symmetry=symmetry,
-        max_n=getattr(args, "force_max_n", None),
+        use_alpha_beta=not args.no_alpha_beta,
+        symmetry=SYMMETRY_PATH_REVERSAL if args.symmetry == "path-reversal" else SYMMETRY_NONE,
+        max_n=10_000 if args.force else None,
     )
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def emit_records(records: list[dict], fmt: str, out) -> None:
@@ -119,15 +125,9 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
         out.write("  ".join(str(record.get(f, "")).ljust(widths[f]) for f in fields) + "\n")
 
 
-def _solve_worker(payload):
-    n, edges, variant_code, objective_value, opts_fields = payload
-    from .graphs import from_edges
-
-    g = from_edges(n, list(edges))
-    variant = VARIANT_CODES[variant_code]
-    objective = Objective(objective_value)
-    opts = SolveOptions(**opts_fields)
-    result = solve(g, variant, objective, opts)
+def solve_record(g: Graph, variant_code: str, objective_value: str, opts: SolveOptions) -> dict:
+    """The output record of one solve; module-level so a pool worker can run it."""
+    result = solve(g, VARIANT_CODES[variant_code], Objective(objective_value), opts)
     return {
         "graph": emit_graph6(g),
         "n": g.n,
@@ -135,42 +135,28 @@ def _solve_worker(payload):
         "objective": objective_value,
         "value": result.value,
         "nodes": result.nodes,
-        "principal_line": [m.to_json() for m in result.principal_line or []],
+        "principal_line": [m.to_json() for m in result.principal_line],
     }
+
+
+def map_jobs(func, items: list, jobs: int) -> list:
+    """``func`` over ``items`` in order, in this process or in a pool.
+
+    The pool starts one worker per item, up to ``jobs``; with one worker or
+    fewer the work stays in this process.
+    """
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [func(item) for item in items]
+    with Pool(processes=workers) as pool:
+        return pool.map(func, items)
 
 
 def cmd_solve(args, out) -> int:
     graphs = load_graphs(args)
-    variant = VARIANT_CODES[args.variant]
-    objective = Objective(args.objective)
-    opts = solve_options(args)
-    records = []
-    if args.jobs > 1 and len(graphs) > 1:
-        opts_fields = {
-            "use_alpha_beta": opts.use_alpha_beta,
-            "symmetry": opts.symmetry,
-            "max_n": opts.max_n,
-        }
-        payloads = [
-            (g.n, g.edges, args.variant, args.objective, opts_fields) for g in graphs
-        ]
-        with Pool(processes=args.jobs) as pool:
-            records = pool.map(_solve_worker, payloads)
-    else:
-        for g in graphs:
-            result = solve(g, variant, objective, opts)
-            records.append(
-                {
-                    "graph": emit_graph6(g),
-                    "n": g.n,
-                    "variant": args.variant,
-                    "objective": args.objective,
-                    "value": result.value,
-                    "nodes": result.nodes,
-                    "principal_line": [m.to_json() for m in result.principal_line or []],
-                }
-            )
-    emit_records(records, args.format, out)
+    record = partial(solve_record, variant_code=args.variant,
+                     objective_value=args.objective, opts=solve_options(args))
+    emit_records(map_jobs(record, graphs, args.jobs), args.format, out)
     return EXIT_OK
 
 
@@ -452,24 +438,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            src = p.add_mutually_exclusive_group(required=True)
-            src.add_argument("--graph", help="generator spec, e.g. path:9, star:5, spider:1,2,3, trees:8, prufer:0,1")
-            src.add_argument("--file", help="graph6 file, one graph per line")
-            p.add_argument("--edge-list", action="store_true",
-                           help="treat --file as an edge list ('u v' per line, # comments)")
+    def add_common(p):
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--graph", help="generator spec, e.g. path:9, star:5, spider:1,2,3, trees:8, prufer:0,1")
+        src.add_argument("--file", help="graph6 file, one graph per line")
+        p.add_argument("--edge-list", action="store_true",
+                       help="treat --file as an edge list ('u v' per line, # comments)")
         p.add_argument("--variant", choices=sorted(VARIANT_CODES), default="A",
                        help="who starts: A = 0-labeling minimizer, I = 1-labeling maximizer, "
                             "I+pass = maximizer starts and may pass once")
         p.add_argument("--objective", choices=["cordiality", "balance"], default="cordiality")
         p.add_argument("--format", choices=["json", "csv", "table"], default="json")
-        p.add_argument("--jobs", type=int, default=1)
 
     p_solve = sub.add_parser("solve", help="exact game value of each input graph")
     add_common(p_solve)
+    p_solve.add_argument("--jobs", type=positive_int, default=1,
+                         help="spread the input graphs across this many processes")
     p_solve.add_argument("--no-alpha-beta", action="store_true")
-    p_solve.add_argument("--parallel", action="store_true", help="split root moves across processes")
     p_solve.add_argument("--symmetry", choices=["none", "path-reversal"], default="none")
     p_solve.add_argument("--force", dest="force", action="store_true",
                          help="lift the vertex-count cap for this run")
@@ -514,7 +499,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.force_max_n = 10_000 if getattr(args, "force", False) else None
     try:
         return args.func(args, out)
     except InputError as exc:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .game import (
     Move,
@@ -22,10 +21,9 @@ from .game import (
     Variant,
     ONE_STARTS,
     ONE_STARTS_WITH_PASS,
-    VARIANT_CODES,
     ZERO_STARTS,
 )
-from .graphs import Graph, from_edges
+from .graphs import Graph
 
 DEFAULT_MAX_N = 22
 DEFAULT_TABLE_CAPACITY = 4_000_000
@@ -69,8 +67,6 @@ class SolveOptions:
 
     use_alpha_beta: bool = True
     table_capacity: int | None = None  # None: CORDIALITY_TABLE_CAP or default
-    parallel_root: bool = False
-    jobs: int | None = None
     symmetry: str = SYMMETRY_NONE
     max_n: int | None = None  # None: CORDIALITY_MAX_N or default
 
@@ -90,7 +86,7 @@ class SolveResult:
     value: int
     best_move: Move | None
     nodes: int
-    principal_line: list[Move] | None = field(default=None)
+    principal_line: list[Move]
 
 
 class _Searcher:
@@ -356,19 +352,6 @@ def _descend_line(g: Graph, searcher: _Searcher) -> list[Move]:
     return line
 
 
-def _child_value_worker(args: tuple) -> tuple[int, int]:
-    n, edges, variant_code, objective_value, zero, one, passes, use_ab, capacity, symmetry = args
-    g = from_edges(n, list(edges))
-    opts = SolveOptions(
-        use_alpha_beta=use_ab,
-        table_capacity=capacity,
-        symmetry=symmetry,
-        parallel_root=False,
-    )
-    searcher = _Searcher(g, VARIANT_CODES[variant_code], Objective(objective_value), opts)
-    return searcher.state_value(zero, one, passes), searcher.nodes
-
-
 def solve(
     g: Graph,
     variant: Variant,
@@ -378,9 +361,7 @@ def solve(
     """Exact game value, a best first move, and a principal line.
 
     Ties among optimal moves break toward the lowest vertex index, with a
-    pass ranked after every label.  In parallel mode the principal line is
-    omitted (each root child is solved in a separate process and the line
-    would have to be re-derived sequentially); use ``best_line`` for it.
+    pass ranked after every label.
     """
     opts = opts or SolveOptions()
     cap = opts.resolved_max_n()
@@ -398,35 +379,6 @@ def solve(
     searcher = _Searcher(g, variant, objective, opts)
     if g.n == 0:
         return SolveResult(value=0, best_move=None, nodes=0, principal_line=[])
-    if opts.parallel_root:
-        moves = _root_moves(g, searcher, 0, 0, 0)
-        zero_to_move = searcher.starter_is_zero
-        specs = []
-        for move in moves:
-            zero, one, passes = _apply(0, 0, 0, move, zero_to_move)
-            specs.append(
-                (
-                    g.n,
-                    g.edges,
-                    variant.code,
-                    objective.value,
-                    zero,
-                    one,
-                    passes,
-                    opts.use_alpha_beta,
-                    opts.table_capacity,
-                    opts.symmetry,
-                )
-            )
-        jobs = opts.jobs or min(len(moves), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_child_value_worker, specs))
-        values = [value for value, _ in results]
-        pick = min if zero_to_move else max
-        best_value = pick(values)
-        best_move = moves[values.index(best_value)]  # first hit = lowest label
-        total_nodes = 1 + sum(nodes for _, nodes in results)
-        return SolveResult(value=best_value, best_move=best_move, nodes=total_nodes, principal_line=None)
     value = searcher.state_value(0, 0, 0)
     line = _descend_line(g, searcher)
     return SolveResult(
@@ -439,10 +391,7 @@ def solve(
 
 def best_line(g: Graph, variant: Variant, objective: Objective, opts: SolveOptions | None = None) -> list[Move]:
     """A principal variation realizing the game value."""
-    opts = opts or SolveOptions()
-    if opts.parallel_root:
-        opts = replace(opts, parallel_root=False)
-    return solve(g, variant, objective, opts).principal_line or []
+    return solve(g, variant, objective, opts).principal_line
 
 
 GAME_NUMBERS = {

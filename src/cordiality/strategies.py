@@ -98,7 +98,12 @@ class _ScriptBase(Strategy):
 
 
 class TinyScript(_ScriptBase):
-    """Any move is optimal on a 1 or 2 vertex path component."""
+    """Take the lowest free vertex.
+
+    Any move is optimal on a 1 or 2 vertex path component.  On two leaves
+    under one center (branch case 2), taking the sibling of whatever the
+    opponent takes means taking the lone free vertex.
+    """
 
     provenance = "exact-tiny"
 
@@ -245,18 +250,6 @@ class Path6Script(_FirstMoveMemory):
         if lacking:
             return _min_free(free & lacking[0])
         return _avoid_bad(own, free, _P6_BAD)
-
-
-class PairScript(_ScriptBase):
-    """Two leaves under one center; take the sibling of whatever they take.
-
-    With two vertices, the sibling of the opponent's pick is the lone free
-    one, so the rule collapses to taking the lowest free vertex."""
-
-    provenance = "leaf-pair"
-
-    def _decide(self, own, opp, free, prompted):
-        return _min_free(free)
 
 
 class Case3Script(_ScriptBase):
@@ -410,8 +403,13 @@ class SplitStrategy(Strategy):
         return (self.main.state_key(), self.branch.state_key())
 
     def notify(self, state_before, move, mover):
-        self.main.notify(state_before, move, mover)
-        self.branch.notify(state_before, move, mover)
+        # each part's scripts ignore moves outside their own vertices
+        if move.is_pass:
+            return
+        if self.main_mask >> move.vertex & 1:
+            self.main.notify(state_before, move, mover)
+        elif self.branch_mask >> move.vertex & 1:
+            self.branch.notify(state_before, move, mover)
 
     def choose(self, state: GameState, last_move: Move | None) -> Move:
         occupied = state.zero_mask | state.one_mask
@@ -511,7 +509,7 @@ def _induced_path_order(g: Graph, verts: frozenset[int]) -> tuple[int, ...] | No
 
 _CASE_SCRIPTS = {
     1: lambda r: Path4Script((r["v1"], r["v2"], r["v3"], r["v4"])),
-    2: lambda r: PairScript((r["v1"], r["v2"])),
+    2: lambda r: TinyScript((r["v1"], r["v2"])),
     3: lambda r: Case3Script((r["v1"], r["v2"], r["v3"], r["v4"])),
     4: lambda r: Path4Script((r["v4"], r["v1"], r["v2"], r["v3"])),
     5: lambda r: Case5Script((r["v1"], r["v2"], r["v3"], r["v4"])),

@@ -1,7 +1,9 @@
 import io
 import json
 
-from cordiality import emit_graph6, enumerate_trees, path_graph
+import pytest
+
+from cordiality import cli, emit_graph6, enumerate_trees, path_graph
 from cordiality.cli import main
 
 
@@ -62,6 +64,50 @@ def test_solve_jobs_matches_sequential(tmp_path):
     _, sequential = run_cli(["solve", "--file", str(path)])
     _, parallel = run_cli(["solve", "--file", str(path), "--jobs", "2"])
     assert sequential == parallel
+
+
+def test_solve_jobs_below_one_is_refused(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(cli, "Pool", no_pool)
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve", "--graph", "path:4", "--jobs", jobs])
+        assert exc.value.code == 2
+
+
+def test_solve_jobs_caps_workers_at_graph_count(tmp_path, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    path = tmp_path / "paths.g6"
+    path.write_text(emit_graph6(path_graph(4)) + "\n" + emit_graph6(path_graph(5)) + "\n")
+    _, sequential = run_cli(["solve", "--file", str(path)])
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    _, pooled = run_cli(["solve", "--file", str(path), "--jobs", "8"])
+    assert started == [2]
+    assert pooled == sequential
+
+
+def test_removed_flags_are_input_errors():
+    for argv in (["solve", "--graph", "path:4", "--parallel"],
+                 ["mb", "--graph", "path:4", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
 
 
 def test_bad_generator_spec_is_input_error():

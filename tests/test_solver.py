@@ -90,15 +90,6 @@ def test_option_independence_small():
                 assert len(values) == 1
 
 
-def test_parallel_root_matches_sequential():
-    g = path_graph(7)
-    sequential = solve(g, ZERO_STARTS, Objective.CORDIALITY)
-    parallel = solve(g, ZERO_STARTS, Objective.CORDIALITY, SolveOptions(parallel_root=True, jobs=2))
-    assert parallel.value == sequential.value
-    assert parallel.best_move == sequential.best_move
-    assert parallel.principal_line is None
-
-
 def test_symmetry_requires_path_order():
     with pytest.raises(SolveOptionsError):
         solve(star_graph(4), ZERO_STARTS, Objective.CORDIALITY,

@@ -1,11 +1,11 @@
 import pytest
 
 from cordiality import (
+    Graph,
     GraphError,
     NonTreeError,
     centroids,
     enumerate_trees,
-    enumerate_trees_via_prufer,
     from_edges,
     path_graph,
     prufer_decode,
@@ -30,6 +30,33 @@ def test_enumeration_members_are_trees_without_duplicates():
         for t in trees:
             assert t.is_tree()
             assert t.edge_count == n - 1
+
+
+def enumerate_trees_via_prufer(n: int) -> list[Graph]:
+    """Classes of trees on n vertices by decoding every Prüfer sequence.
+
+    Exponential in n; useful as an independent cross-check of
+    ``enumerate_trees`` for small n.
+    """
+    if n == 1:
+        return [from_edges(1, [])]
+    if n == 2:
+        return [from_edges(2, [(0, 1)])]
+    reps: dict[str, Graph] = {}
+    seq = [0] * (n - 2)
+    while True:
+        tree = prufer_decode(seq, n)
+        code = tree_canonical_code(tree).code
+        if code not in reps:
+            reps[code] = tree
+        i = n - 3
+        while i >= 0 and seq[i] == n - 1:
+            seq[i] = 0
+            i -= 1
+        if i < 0:
+            break
+        seq[i] += 1
+    return [reps[code] for code in sorted(reps)]
 
 
 def test_enumeration_agrees_with_prufer_sweep():
