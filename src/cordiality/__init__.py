@@ -48,9 +48,6 @@ from .solver import (
     SolveOptions,
     SolveResult,
     SolverCapError,
-    SYMMETRY_NONE,
-    SYMMETRY_PATH_REVERSAL,
-    best_line,
     game_number,
     solve,
 )

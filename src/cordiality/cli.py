@@ -28,7 +28,7 @@ from .graphs import Graph, GraphError, path_graph, random_connected_graph, spide
 from .harness import worst_case_line, worst_case_vs_optimal
 from .makerbreaker import export_hypergraph, maker_breaker_value, winning_family
 from .branching import find_branch
-from .solver import SolveOptions, SolverCapError, SYMMETRY_NONE, SYMMETRY_PATH_REVERSAL, game_number, solve
+from .solver import SolveOptions, SolverCapError, game_number, solve
 from .strategies import (
     balance_maximizer_strategy,
     small_path_strategy,
@@ -93,7 +93,6 @@ def load_graphs(args) -> list[Graph]:
 def solve_options(args) -> SolveOptions:
     return SolveOptions(
         use_alpha_beta=not args.no_alpha_beta,
-        symmetry=SYMMETRY_PATH_REVERSAL if args.symmetry == "path-reversal" else SYMMETRY_NONE,
         max_n=10_000 if args.force else None,
     )
 
@@ -166,11 +165,10 @@ def cmd_table(args, out) -> int:
         g = path_graph(n)
         row: dict = {"n": n}
         try:
-            opts = SolveOptions(symmetry=SYMMETRY_PATH_REVERSAL)
-            row["cg"] = solve(g, ZERO_STARTS, Objective.CORDIALITY, opts).value
-            row["cg_i"] = solve(g, ONE_STARTS, Objective.CORDIALITY, opts).value
-            row["cg_ip"] = solve(g, ONE_STARTS_WITH_PASS, Objective.CORDIALITY, opts).value
-            row["bg"] = solve(g, ZERO_STARTS, Objective.BALANCE, opts).value
+            row["cg"] = solve(g, ZERO_STARTS, Objective.CORDIALITY).value
+            row["cg_i"] = solve(g, ONE_STARTS, Objective.CORDIALITY).value
+            row["cg_ip"] = solve(g, ONE_STARTS_WITH_PASS, Objective.CORDIALITY).value
+            row["bg"] = solve(g, ZERO_STARTS, Objective.BALANCE).value
         except SolverCapError:
             row.update({"cg": "", "cg_i": "", "cg_ip": "", "bg": "", "skipped": True})
             records.append(row)
@@ -187,7 +185,7 @@ def cmd_table(args, out) -> int:
     return EXIT_OK
 
 
-def _strategy_record(fixture, g, tag, variant, objective, bound, worst, ok, witness=None):
+def _strategy_record(fixture, g, tag, bound, worst, ok, witness=None):
     record = {
         "fixture": fixture,
         "graph": emit_graph6(g),
@@ -227,8 +225,7 @@ def _verify_small_paths(records) -> bool:
             if not ok:
                 _, witness = worst_case_line(g, strategy, variant, Objective.CORDIALITY)
             records.append(
-                _strategy_record("small-paths", g, strategy.provenance, variant,
-                                 Objective.CORDIALITY, value, worst, ok, witness)
+                _strategy_record("small-paths", g, strategy.provenance, value, worst, ok, witness)
             )
             all_ok &= ok
     return all_ok
@@ -239,8 +236,7 @@ def _verify_path_bound(records, max_n) -> bool:
     for n in range(3, max_n + 1):
         g = path_graph(n)
         bound = path_bound(n)
-        value = solve(g, ZERO_STARTS, Objective.CORDIALITY,
-                      SolveOptions(symmetry=SYMMETRY_PATH_REVERSAL)).value
+        value = solve(g, ZERO_STARTS, Objective.CORDIALITY).value
         ok = value <= bound and value <= path_bound_mod6(n)
         records.append(
             {
@@ -259,8 +255,7 @@ def _verify_path_bound(records, max_n) -> bool:
         if not ok:
             _, witness = worst_case_line(g, strategy, ZERO_STARTS, Objective.CORDIALITY)
         records.append(
-            _strategy_record("path-bound", g, strategy.provenance, ZERO_STARTS,
-                             Objective.CORDIALITY, bound, worst, ok, witness)
+            _strategy_record("path-bound", g, strategy.provenance, bound, worst, ok, witness)
         )
         all_ok &= ok
     return all_ok
@@ -281,8 +276,7 @@ def _verify_tree_bound(records, max_n) -> bool:
             if not ok:
                 _, witness = worst_case_line(g, strategy, ZERO_STARTS, Objective.CORDIALITY)
             records.append(
-                _strategy_record("tree-bound", g, strategy.provenance, ZERO_STARTS,
-                                 Objective.CORDIALITY, bound, worst, ok, witness)
+                _strategy_record("tree-bound", g, strategy.provenance, bound, worst, ok, witness)
             )
             all_ok &= ok
     return all_ok
@@ -307,8 +301,7 @@ def _verify_balance_bound(records, max_n) -> bool:
         if not ok:
             _, witness = worst_case_line(g, strategy, ZERO_STARTS, Objective.BALANCE)
         records.append(
-            _strategy_record("balance-bound", g, strategy.provenance, ZERO_STARTS,
-                             Objective.BALANCE, 0, worst, ok, witness)
+            _strategy_record("balance-bound", g, strategy.provenance, 0, worst, ok, witness)
         )
         all_ok &= ok
     return all_ok
@@ -455,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--jobs", type=positive_int, default=1,
                          help="spread the input graphs across this many processes")
     p_solve.add_argument("--no-alpha-beta", action="store_true")
-    p_solve.add_argument("--symmetry", choices=["none", "path-reversal"], default="none")
     p_solve.add_argument("--force", dest="force", action="store_true",
                          help="lift the vertex-count cap for this run")
     p_solve.set_defaults(func=cmd_solve)

@@ -15,9 +15,7 @@ the last two labels of an odd path to the zero player).
 
 A position stores the two label sets as vertex bitmasks (bit v set means
 vertex v carries that label), the same encoding the solver, the oracle and
-the Maker-Breaker solver use.  ``GameState.zero``, ``one`` and ``unlabeled``
-rebuild frozenset views of those masks for callers that want sets; the
-move functions here and the strategy harness read only the masks.
+the Maker-Breaker solver use.
 """
 
 from __future__ import annotations
@@ -105,8 +103,7 @@ class GameState:
     """Immutable position: who has labeled what, and passes spent.
 
     ``zero_mask`` and ``one_mask`` are disjoint vertex bitmasks of the
-    0-labeled and 1-labeled vertices.  ``zero``, ``one`` and ``unlabeled``
-    are read-only frozenset views built from the masks on each access.
+    0-labeled and 1-labeled vertices.
     """
 
     n: int
@@ -114,22 +111,6 @@ class GameState:
     zero_mask: int
     one_mask: int
     passes_used: int
-
-    @property
-    def labeled_count(self) -> int:
-        return (self.zero_mask | self.one_mask).bit_count()
-
-    @property
-    def zero(self) -> frozenset[int]:
-        return frozenset(iter_bits(self.zero_mask))
-
-    @property
-    def one(self) -> frozenset[int]:
-        return frozenset(iter_bits(self.one_mask))
-
-    @property
-    def unlabeled(self) -> frozenset[int]:
-        return frozenset(iter_bits(((1 << self.n) - 1) & ~(self.zero_mask | self.one_mask)))
 
 
 def new_game(g: Graph, variant: Variant) -> GameState:

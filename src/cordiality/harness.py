@@ -41,16 +41,19 @@ class StrategyMoveError(RuntimeError):
         self.move = move
 
 
-def _strategy_step(g: Graph, state: GameState, strat: Strategy, last_move: Move | None):
-    """Apply the strategy's forced moves until the adversary's turn."""
+def _strategy_step(state: GameState, strat: Strategy, last_move: Move | None):
+    """Apply the strategy's forced moves until the adversary's turn.
+
+    Returns the position reached and the strategy as it stands there.
+    """
     while not is_terminal(state) and to_move(state) is strat.role:
         move = strat.choose(state, last_move)
         if not is_legal(state, move):
             raise StrategyMoveError(state, move, "not among the legal moves")
-        strat.notify(state, move, strat.role)
+        strat = strat.after(move, strat.role)
         state = apply_move(state, move)
         last_move = move
-    return state
+    return state, strat
 
 
 def worst_case_vs_optimal(
@@ -82,7 +85,7 @@ def _sweep(g, strategy, variant, objective, terminal_check, want_line):
     argbest: dict[tuple, Move] = {}
 
     def value(state: GameState, strat: Strategy, last_move: Move | None) -> int:
-        state = _strategy_step(g, state, strat, last_move)
+        state, strat = _strategy_step(state, strat, last_move)
         if is_terminal(state):
             if terminal_check is not None:
                 terminal_check(state)
@@ -94,9 +97,7 @@ def _sweep(g, strategy, variant, objective, terminal_check, want_line):
         best: int | None = None
         best_move: Move | None = None
         for move in legal_moves(state):
-            twin = strat.clone()
-            twin.notify(state, move, adversary)
-            child = value(apply_move(state, move), twin, move)
+            child = value(apply_move(state, move), strat.after(move, adversary), move)
             if best is None or (child > best if maximizing else child < best):
                 best = child
                 best_move = move
@@ -106,23 +107,23 @@ def _sweep(g, strategy, variant, objective, terminal_check, want_line):
         return best
 
     start = new_game(g, variant)
-    result = value(start, strategy.clone(), None)
+    result = value(start, strategy, None)
     if not want_line:
         return result, []
 
     # replay the adversary's extremal choices to produce a witness line
     line: list[Move] = []
     state = start
-    strat = strategy.clone()
+    strat = strategy
     last: Move | None = None
     while not is_terminal(state):
         if to_move(state) is strat.role:
             move = strat.choose(state, last)
-            strat.notify(state, move, strat.role)
+            strat = strat.after(move, strat.role)
         else:
             key = (state.zero_mask, state.one_mask, state.passes_used, strat.state_key())
             move = argbest[key]
-            strat.notify(state, move, adversary)
+            strat = strat.after(move, adversary)
         line.append(move)
         state = apply_move(state, move)
         last = move

@@ -8,8 +8,9 @@ move in the same part, and a small even-sized branch part handled by a
 script.  Scripts therefore have to tolerate three local move orders: the
 zero player opens, the opponent opens, or the opponent opens and later the
 zero player moves twice in a row (local pass).  Script decisions are driven
-by the observed local position plus the opponent's last move, so cloned
-strategies stay cheap and playout memoization merges across interleavings.
+by the observed local position plus the opponent's last move, so a
+strategy remembers little: it stays immutable and cheap to advance, and
+playout memoization merges across interleavings.
 
 The one-player balance strategy mirrors the same split idea: a recursive
 main path plus a terminal vertex pair whose inner edge it always claims.
@@ -36,19 +37,21 @@ class Strategy:
     def choose(self, state: GameState, last_move: Move | None) -> Move:
         raise NotImplementedError
 
-    def notify(self, state_before: GameState, move: Move, mover: Player) -> None:
-        """Observe any move (either player's); default policies are stateless."""
+    def after(self, move: Move, mover: Player) -> "Strategy":
+        """The policy once ``mover`` has played ``move``; never mutates ``self``.
 
-    def clone(self) -> "Strategy":
-        return self  # stateless policies may be shared freely
+        A move that changes nothing the policy remembers returns ``self``;
+        default policies are stateless, so every move does.
+        """
+        return self
 
     def state_key(self) -> object:
         return ()
 
-    def _copy(self) -> "Strategy":
-        """A shallow copy; for ``clone`` of policies whose fields are immutable."""
+    def _copy(self, **changes) -> "Strategy":
+        """A shallow copy with ``changes`` applied; fields are immutable."""
         twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__)
+        twin.__dict__.update(self.__dict__, **changes)
         return twin
 
 
@@ -181,17 +184,12 @@ class _FirstMoveMemory(_ScriptBase):
         self.opened_by_us = False
         self.opp_first: int | None = None
 
-    def notify(self, state_before, move, mover):
-        if move.is_pass or move.vertex not in self._pos:
-            return
+    def after(self, move, mover):
+        if self.opp_first is not None or move.is_pass or move.vertex not in self._pos:
+            return self
         if mover is self.role:
-            if self.opp_first is None and not self.opened_by_us:
-                self.opened_by_us = True
-        elif self.opp_first is None:
-            self.opp_first = self._pos[move.vertex]
-
-    def clone(self):
-        return self._copy()
+            return self if self.opened_by_us else self._copy(opened_by_us=True)
+        return self._copy(opp_first=self._pos[move.vertex])
 
     def state_key(self):
         return (self.opened_by_us, self.opp_first)
@@ -393,23 +391,20 @@ class SplitStrategy(Strategy):
         self.branch_mask = vertex_mask(branch_verts)
         self.provenance = provenance
 
-    def clone(self):
-        twin = self._copy()
-        twin.main = self.main.clone()
-        twin.branch = self.branch.clone()
-        return twin
-
     def state_key(self):
         return (self.main.state_key(), self.branch.state_key())
 
-    def notify(self, state_before, move, mover):
+    def after(self, move, mover):
         # each part's scripts ignore moves outside their own vertices
         if move.is_pass:
-            return
+            return self
         if self.main_mask >> move.vertex & 1:
-            self.main.notify(state_before, move, mover)
-        elif self.branch_mask >> move.vertex & 1:
-            self.branch.notify(state_before, move, mover)
+            main = self.main.after(move, mover)
+            return self if main is self.main else self._copy(main=main)
+        if self.branch_mask >> move.vertex & 1:
+            branch = self.branch.after(move, mover)
+            return self if branch is self.branch else self._copy(branch=branch)
+        return self
 
     def choose(self, state: GameState, last_move: Move | None) -> Move:
         occupied = state.zero_mask | state.one_mask

@@ -8,8 +8,6 @@ import pytest
 
 from cordiality import (
     Graph,
-    SolveOptions,
-    SYMMETRY_PATH_REVERSAL,
     emit_graph6,
     enumerate_trees,
     game_number,
@@ -66,10 +64,7 @@ def solved():
     def get(g: Graph, which: str) -> int:
         key = (emit_graph6(g), which)
         if key not in cache:
-            opts = None
-            if g.is_path() and g.path_order() == list(range(g.n)):
-                opts = SolveOptions(symmetry=SYMMETRY_PATH_REVERSAL)
-            cache[key] = game_number(g, which, opts)
+            cache[key] = game_number(g, which)
         return cache[key]
 
     return get

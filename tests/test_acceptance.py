@@ -13,11 +13,11 @@ from multiprocessing import Pool
 
 import pytest
 
+import cordiality.solver
 from cordiality import (
     CASE6_WINNING_SETS,
     Objective,
     SolveOptions,
-    SYMMETRY_PATH_REVERSAL,
     ONE_STARTS,
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
@@ -91,13 +91,12 @@ def test_c03_p6_bad_set_enumeration():
 
 
 def test_c04_path_bounds_to_16(solved):
-    opts = SolveOptions(symmetry=SYMMETRY_PATH_REVERSAL)
     for n in range(3, 17):
         g = path_graph(n)
         if n <= 14:
             value = solved(g, "cg")
-        else:
-            value = solve(g, ZERO_STARTS, Objective.CORDIALITY, opts).value
+        else:  # the solver folds path reversal from 15 vertices on
+            value = solve(g, ZERO_STARTS, Objective.CORDIALITY).value
         assert value <= path_bound(n), (n, value)
         assert value <= path_bound_mod6(n), (n, value)
     verdict("solved path values within mod-3 and mod-6 bounds for 3 <= n <= 16")
@@ -160,7 +159,7 @@ def test_c08_balance_to_14(solved):
         a, b = suffix_pair_edge(n)
 
         def suffix_edge_cut(state, a=a, b=b):
-            assert (a in state.zero) != (b in state.zero), "suffix edge not labeled 1"
+            assert (state.zero_mask >> a ^ state.zero_mask >> b) & 1, "suffix edge not labeled 1"
 
         worst = worst_case_vs_optimal(
             g, balance_maximizer_strategy(n), ZERO_STARTS, Objective.BALANCE,
@@ -209,7 +208,7 @@ def _oracle_task(payload):
     )
 
 
-def test_c12_oracle_equivalence_and_option_independence(full_corpus):
+def test_c12_oracle_equivalence_and_option_independence(full_corpus, monkeypatch):
     subjects = [g for g in full_corpus if g.n <= 8]
     tasks = [
         (g.n, g.edges, variant.code, objective.value)
@@ -234,11 +233,11 @@ def test_c12_oracle_equivalence_and_option_independence(full_corpus):
         for variant in ALL_VARIANTS:
             for objective in (Objective.CORDIALITY, Objective.BALANCE):
                 values = {solve(g, variant, objective, opts).value for opts in option_grid}
-                if g.is_path() and g.path_order() == list(range(g.n)):
-                    values.add(
-                        solve(g, variant, objective,
-                              SolveOptions(symmetry=SYMMETRY_PATH_REVERSAL)).value
-                    )
+                # the same grid with path reversal forced on; the spot-check
+                # paths are below the order where the solver turns it on
+                monkeypatch.setattr(cordiality.solver, "_REVERSAL_MIN_N", 1)
+                values |= {solve(g, variant, objective, opts).value for opts in option_grid}
+                monkeypatch.undo()
                 assert len(values) == 1, (g.edges, variant.code, objective.value)
     verdict(
         f"solver equals the reference evaluator on {len(subjects)} corpus graphs x 6 "

@@ -50,19 +50,16 @@ def reference_worst(g, strategy, variant, objective):
         if mover is strat.role:
             move = strat.choose(state, last)
             assert move in legal_moves(state)
-            strat.notify(state, move, mover)
-            return value(apply_move(state, move), strat, move)
+            return value(apply_move(state, move), strat.after(move, mover), move)
         key = (state.zero_mask, state.one_mask, state.passes_used, strat.state_key())
-        results = []
-        for move in legal_moves(state):
-            twin = strat.clone()
-            twin.notify(state, move, mover)
-            results.append(value(apply_move(state, move), twin, move))
-        best = pick(results)
+        best = pick(
+            value(apply_move(state, move), strat.after(move, mover), move)
+            for move in legal_moves(state)
+        )
         assert by_key.setdefault(key, best) == best, f"memo key {key} holds two values"
         return best
 
-    return value(new_game(g, variant), strategy.clone(), None)
+    return value(new_game(g, variant), strategy, None)
 
 
 def assert_memo_sound(g, strategy, variant, objective):
@@ -117,7 +114,7 @@ class _Stub(Strategy):
 
 
 def _first_free_then_pass(state):
-    if state.labeled_count == 0:
+    if not state.zero_mask | state.one_mask:
         return Move.label(0)
     return PASS
 

@@ -7,7 +7,6 @@ from cordiality import (
     ONE_STARTS,
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
-    best_line,
     export_hypergraph,
     maker_breaker_value,
     parse_hypergraph,
@@ -17,6 +16,7 @@ from cordiality import (
     winning_family,
 )
 from cordiality.game import replay
+from cordiality.graphs import iter_bits
 
 P6_BAD_SETS = {
     frozenset({0, 2, 4}), frozenset({1, 3, 5}),
@@ -106,18 +106,18 @@ def test_exact_vs_superset_semantics():
             assert superset == exact
 
 
-def test_best_line_terminal_set_membership():
+def test_principal_line_terminal_set_membership():
     for n in range(3, 9):
         g = path_graph(n)
         result = solve(g, ZERO_STARTS, Objective.CORDIALITY)
-        line = best_line(g, ZERO_STARTS, Objective.CORDIALITY)
-        final = replay(g, ZERO_STARTS, line)
+        final = replay(g, ZERO_STARTS, result.principal_line)
+        zero = frozenset(iter_bits(final.zero_mask))
         value = result.value
         inside = winning_family(g, value, Objective.CORDIALITY)
-        assert frozenset(final.zero) in set(inside.members)
+        assert zero in set(inside.members)
         if value >= 2:
             tighter = winning_family(g, value - 2, Objective.CORDIALITY)
-            assert frozenset(final.zero) not in set(tighter.members)
+            assert zero not in set(tighter.members)
 
 
 def test_caps():

@@ -2,16 +2,15 @@ import warnings
 
 import pytest
 
+import cordiality.solver
 from cordiality import (
     Move,
     Objective,
     SolveOptions,
     SolverCapError,
-    SYMMETRY_PATH_REVERSAL,
     ONE_STARTS,
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
-    best_line,
     brute_force_value,
     from_edges,
     game_number,
@@ -22,7 +21,6 @@ from cordiality import (
     terminal_value,
 )
 from cordiality.game import replay
-from cordiality.solver import SolveOptionsError
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
 
@@ -70,34 +68,39 @@ def test_game_number_dispatch():
         game_number(p6, "nope")
 
 
-def test_option_independence_small():
+def test_option_independence_small(monkeypatch):
     grids = [
         SolveOptions(),
         SolveOptions(use_alpha_beta=False),
         SolveOptions(table_capacity=0),
         SolveOptions(use_alpha_beta=False, table_capacity=0),
-        SolveOptions(symmetry=SYMMETRY_PATH_REVERSAL),
     ]
     for n in (5, 6, 7):
         g = path_graph(n)
         for variant in ALL_VARIANTS:
             for objective in (Objective.CORDIALITY, Objective.BALANCE):
-                values = set()
-                for opts in grids:
-                    if opts.symmetry != "none" and not g.is_path():
-                        continue
-                    values.add(solve(g, variant, objective, opts).value)
+                values = {solve(g, variant, objective, opts).value for opts in grids}
+                # the same grid with path reversal forced on at every order
+                monkeypatch.setattr(cordiality.solver, "_REVERSAL_MIN_N", 1)
+                values |= {solve(g, variant, objective, opts).value for opts in grids}
+                monkeypatch.undo()
                 assert len(values) == 1
 
 
-def test_symmetry_requires_path_order():
-    with pytest.raises(SolveOptionsError):
-        solve(star_graph(4), ZERO_STARTS, Objective.CORDIALITY,
-              SolveOptions(symmetry=SYMMETRY_PATH_REVERSAL))
+def test_symmetry_requires_path_order(monkeypatch):
+    # neither graph is a path in path order, so the solver searches both
+    # without folding keys under reversal
     scrambled = from_edges(3, [(0, 2), (2, 1)])  # a path, but not in index order
-    with pytest.raises(SolveOptionsError):
-        solve(scrambled, ZERO_STARTS, Objective.CORDIALITY,
-              SolveOptions(symmetry=SYMMETRY_PATH_REVERSAL))
+    for g in (star_graph(4), scrambled):
+        for variant in ALL_VARIANTS:
+            for objective in (Objective.CORDIALITY, Objective.BALANCE):
+                assert solve(g, variant, objective).value == brute_force_value(g, variant, objective)
+    p8 = path_graph(8)
+    plain = solve(p8, ZERO_STARTS, Objective.CORDIALITY)
+    monkeypatch.setattr(cordiality.solver, "_REVERSAL_MIN_N", 1)
+    folded = solve(p8, ZERO_STARTS, Objective.CORDIALITY)
+    assert folded.value == plain.value
+    assert folded.nodes < plain.nodes
 
 
 def test_principal_line_replays_to_value():
@@ -108,8 +111,8 @@ def test_principal_line_replays_to_value():
             assert terminal_value(final, g, Objective.CORDIALITY) == result.value
 
 
-def test_best_line_tiebreak_prefers_low_labels():
-    line = best_line(path_graph(3), ZERO_STARTS, Objective.CORDIALITY)
+def test_principal_line_tiebreak_prefers_low_labels():
+    line = solve(path_graph(3), ZERO_STARTS, Objective.CORDIALITY).principal_line
     assert line[0] == Move.label(1)  # the middle vertex secures value 0
 
 
@@ -151,8 +154,6 @@ def test_disconnected_graphs_are_supported():
 
 
 def test_edge_cap_matches_table_entry_range(monkeypatch):
-    import cordiality.solver
-
     class Reached(Exception):
         pass
 

@@ -7,6 +7,7 @@ from cordiality import (
     CASE6_WINNING_SETS,
     Move,
     Objective,
+    Player,
     ONE_STARTS,
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
@@ -32,6 +33,7 @@ from cordiality import (
     worst_case_vs_optimal,
 )
 from cordiality.branching import arm_components
+from cordiality.graphs import vertex_mask
 from cordiality.strategies import Case6Script, Path6Script, StrategyError
 from cordiality.trees import NonTreeError
 
@@ -59,7 +61,7 @@ def test_script_openings_and_replies():
     p6 = small_path_strategy(6, ONE_STARTS)
     state = new_game(path_graph(6), ONE_STARTS)
     opening = Move.label(1)
-    p6.notify(state, opening, to_move(state))
+    p6 = p6.after(opening, to_move(state))
     state = apply_move(state, opening)
     assert p6.choose(state, opening) == Move.label(4)
 
@@ -71,23 +73,21 @@ def test_path4_script_secures_one_label_per_class():
         def explore(state, strat, last):
             while not is_terminal(state) and to_move(state) is strat.role:
                 move = strat.choose(state, last)
-                strat.notify(state, move, strat.role)
+                strat = strat.after(move, strat.role)
                 state = apply_move(state, move)
                 last = move
             if is_terminal(state):
-                seen.add(frozenset(state.zero))
+                seen.add(state.zero_mask)
                 return
             for move in legal_moves(state):
-                twin = strat.clone()
-                twin.notify(state, move, strat.role.opponent)
-                explore(apply_move(state, move), twin, move)
+                explore(apply_move(state, move), strat.after(move, strat.role.opponent), move)
 
         explore(new_game(path_graph(4), variant), small_path_strategy(4, variant), None)
         return seen
 
     for variant in ALL_VARIANTS:
         for final in zero_final_sets(variant):
-            assert final & {0, 2} and final & {1, 3}
+            assert final & vertex_mask({0, 2}) and final & vertex_mask({1, 3})
 
 
 # -- the recursive path strategy --------------------------------------------
@@ -175,13 +175,13 @@ def test_case6_script_always_lands_in_winning_sets():
     # two 3-arms as a standalone graph; positions map to vertices 0..5
     g = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     script = Case6Script(tuple(range(6)))
-    winning = {frozenset(p - 1 for p in s) for s in CASE6_WINNING_SETS}
+    winning = {vertex_mask(p - 1 for p in s) for s in CASE6_WINNING_SETS}
 
     def check(state):
-        assert frozenset(state.zero) in winning, sorted(state.zero)
+        assert state.zero_mask in winning, bin(state.zero_mask)
 
     for variant in ALL_VARIANTS:
-        worst_case_vs_optimal(g, script.clone(), variant, Objective.CORDIALITY, terminal_check=check)
+        worst_case_vs_optimal(g, script, variant, Objective.CORDIALITY, terminal_check=check)
 
 
 # -- the recursive tree strategy ---------------------------------------------
@@ -204,7 +204,7 @@ def test_case2_branch_edges_always_differ():
     v2 = decomposition.roles["v2"]
 
     def check(state):
-        assert (v1 in state.zero) != (v2 in state.zero)
+        assert (state.zero_mask >> v1 ^ state.zero_mask >> v2) & 1
 
     worst_case_vs_optimal(
         g, tree_strategy(g), ZERO_STARTS, Objective.CORDIALITY, terminal_check=check
@@ -218,12 +218,12 @@ def test_case3_script_reply_mirrors_inner_and_outer():
     strategy = tree_strategy(g)
     state = new_game(g, ZERO_STARTS)
     move = strategy.choose(state, None)
-    strategy.notify(state, move, ZERO_STARTS.starter)
+    strategy = strategy.after(move, ZERO_STARTS.starter)
     state = apply_move(state, move)
     # the opponent grabs the outer vertex of one arm; the reply is the
     # outer vertex of the other arm
     outer = Move.label(d.roles["v1"])
-    strategy.notify(state, outer, to_move(state))
+    strategy = strategy.after(outer, to_move(state))
     state = apply_move(state, outer)
     reply = strategy.choose(state, outer)
     assert reply == Move.label(d.roles["v4"])
@@ -236,7 +236,7 @@ def test_case6_script_reply_to_second_position():
     g = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     state = new_game(g, ONE_STARTS)
     opening = Move.label(1)  # position 2
-    script.notify(state, opening, to_move(state))
+    script = script.after(opening, to_move(state))
     state = apply_move(state, opening)
     assert script.choose(state, opening) == Move.label(4)  # position 5
 
@@ -250,7 +250,7 @@ def test_balance_strategy_nonnegative_with_suffix_edge(n):
     a, b = suffix_pair_edge(n)
 
     def check(state):
-        assert (a in state.zero) != (b in state.zero)
+        assert (state.zero_mask >> a ^ state.zero_mask >> b) & 1
 
     worst = worst_case_vs_optimal(
         g, balance_maximizer_strategy(n), ZERO_STARTS, Objective.BALANCE, terminal_check=check
@@ -305,19 +305,44 @@ def test_strategies_stay_legal_under_random_play():
     for g, strategy, variant in fixtures:
         base = strategy or tree_strategy(g)
         for _ in range(400):
-            strat = base.clone()
+            strat = base
             state = new_game(g, variant)
             last = None
             while not is_terminal(state):
                 if to_move(state) is strat.role:
                     move = strat.choose(state, last)
                     assert move in legal_moves(state)
-                    strat.notify(state, move, strat.role)
                 else:
                     move = rng.choice(legal_moves(state))
-                    strat.notify(state, move, strat.role.opponent)
+                strat = strat.after(move, to_move(state))
                 state = apply_move(state, move)
                 last = move
+
+
+def test_after_leaves_the_receiver_unchanged():
+    rng = random.Random(77)
+    g = path_graph(12)
+    changed = 0
+    for _ in range(50):
+        strat = path_strategy(12)
+        state = new_game(g, ZERO_STARTS)
+        last = None
+        while not is_terminal(state):
+            mover = to_move(state)
+            move = strat.choose(state, last) if mover is strat.role else rng.choice(legal_moves(state))
+            key = strat.state_key()
+            moved = strat.after(move, mover)
+            assert strat.state_key() == key
+            changed += moved.state_key() != key
+            strat, state, last = moved, apply_move(state, move), move
+    assert changed
+    # on 9 vertices the stateless 3-path script plays 0..2 and the 6-path
+    # script, which remembers the opening, plays 3..8
+    strat = path_strategy(9)
+    for v in range(3):
+        for mover in Player:
+            assert strat.after(Move.label(v), mover) is strat
+    assert strat.after(Move.label(3), Player.ONE) is not strat
 
 
 def test_builders_validate_inputs():
