@@ -91,10 +91,7 @@ def load_graphs(args) -> list[Graph]:
 
 
 def solve_options(args) -> SolveOptions:
-    return SolveOptions(
-        use_alpha_beta=not args.no_alpha_beta,
-        max_n=10_000 if args.force else None,
-    )
+    return SolveOptions(max_n=10_000 if args.force else None)
 
 
 def positive_int(text: str) -> int:
@@ -165,10 +162,10 @@ def cmd_table(args, out) -> int:
         g = path_graph(n)
         row: dict = {"n": n}
         try:
-            row["cg"] = solve(g, ZERO_STARTS, Objective.CORDIALITY).value
-            row["cg_i"] = solve(g, ONE_STARTS, Objective.CORDIALITY).value
-            row["cg_ip"] = solve(g, ONE_STARTS_WITH_PASS, Objective.CORDIALITY).value
-            row["bg"] = solve(g, ZERO_STARTS, Objective.BALANCE).value
+            row["cg"] = solve(g, ZERO_STARTS, Objective.CORDIALITY, line=False).value
+            row["cg_i"] = solve(g, ONE_STARTS, Objective.CORDIALITY, line=False).value
+            row["cg_ip"] = solve(g, ONE_STARTS_WITH_PASS, Objective.CORDIALITY, line=False).value
+            row["bg"] = solve(g, ZERO_STARTS, Objective.BALANCE, line=False).value
         except SolverCapError:
             row.update({"cg": "", "cg_i": "", "cg_ip": "", "bg": "", "skipped": True})
             records.append(row)
@@ -205,7 +202,7 @@ def _verify_small_paths(records) -> bool:
     for n, value in expected.items():
         g = path_graph(n)
         for variant in (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS):
-            got = solve(g, variant, Objective.CORDIALITY).value
+            got = solve(g, variant, Objective.CORDIALITY, line=False).value
             ok = got == value
             records.append(
                 {
@@ -236,7 +233,7 @@ def _verify_path_bound(records, max_n) -> bool:
     for n in range(3, max_n + 1):
         g = path_graph(n)
         bound = path_bound(n)
-        value = solve(g, ZERO_STARTS, Objective.CORDIALITY).value
+        value = solve(g, ZERO_STARTS, Objective.CORDIALITY, line=False).value
         ok = value <= bound and value <= path_bound_mod6(n)
         records.append(
             {
@@ -266,7 +263,7 @@ def _verify_tree_bound(records, max_n) -> bool:
     for n in range(2, max_n + 1):
         for g in enumerate_trees(n):
             bound = tree_bound(n)
-            value = solve(g, ZERO_STARTS, Objective.CORDIALITY).value
+            value = solve(g, ZERO_STARTS, Objective.CORDIALITY, line=False).value
             strategy = tree_strategy(g)
             worst = worst_case_vs_optimal(g, strategy, ZERO_STARTS, Objective.CORDIALITY)
             ok = value <= bound and worst <= bound
@@ -286,7 +283,7 @@ def _verify_balance_bound(records, max_n) -> bool:
     all_ok = True
     for n in range(2, max_n + 1):
         g = path_graph(n)
-        value = solve(g, ZERO_STARTS, Objective.BALANCE).value
+        value = solve(g, ZERO_STARTS, Objective.BALANCE, line=False).value
         strategy = balance_maximizer_strategy(n)
         a, b = suffix_pair_edge(n)
 
@@ -321,7 +318,7 @@ def _verify_mb_equiv(records, max_n) -> bool:
     for g in subjects:
         for name, variant, objective in combos:
             mb = maker_breaker_value(g, variant, objective)
-            sv = solve(g, variant, objective).value
+            sv = solve(g, variant, objective, line=False).value
             ok = mb == sv
             records.append(
                 {
@@ -401,7 +398,7 @@ def cmd_mb(args, out) -> int:
             out.write(export_hypergraph(winning_family(g, args.family_k, objective)))
             continue
         mb = maker_breaker_value(g, variant, objective, exact_membership=args.semantics == "exact")
-        sv = solve(g, variant, objective).value
+        sv = solve(g, variant, objective, line=False).value
         records.append(
             {
                 "graph": emit_graph6(g),
@@ -447,27 +444,26 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_solve)
     p_solve.add_argument("--jobs", type=positive_int, default=1,
                          help="spread the input graphs across this many processes")
-    p_solve.add_argument("--no-alpha-beta", action="store_true")
     p_solve.add_argument("--force", dest="force", action="store_true",
                          help="lift the vertex-count cap for this run")
     p_solve.set_defaults(func=cmd_solve)
 
     p_table = sub.add_parser("table", help="value table for paths")
-    p_table.add_argument("--min-n", type=int, default=3)
-    p_table.add_argument("--max-n", type=int, default=12)
+    p_table.add_argument("--min-n", type=positive_int, default=3)
+    p_table.add_argument("--max-n", type=positive_int, default=12)
     p_table.add_argument("--format", choices=["json", "csv", "table"], default="csv")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run a named verification fixture")
     p_verify.add_argument("fixture", choices=FIXTURES + ("all",))
-    p_verify.add_argument("--max-n", type=int, default=None)
+    p_verify.add_argument("--max-n", type=positive_int, default=None)
     p_verify.add_argument("--format", choices=["json", "csv", "table"], default="json")
     p_verify.set_defaults(func=cmd_verify)
 
     p_probe = sub.add_parser("probe-balance", help="sample random connected graphs, report signed values")
-    p_probe.add_argument("--count", type=int, default=20)
-    p_probe.add_argument("--min-n", type=int, default=4)
-    p_probe.add_argument("--max-n", type=int, default=9)
+    p_probe.add_argument("--count", type=positive_int, default=20)
+    p_probe.add_argument("--min-n", type=positive_int, default=4)
+    p_probe.add_argument("--max-n", type=positive_int, default=9)
     p_probe.add_argument("--p", type=float, default=0.4, help="edge probability")
     p_probe.add_argument("--seed", type=int, default=0)
     p_probe.add_argument("--format", choices=["json", "csv", "table"], default="json")

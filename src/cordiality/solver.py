@@ -1,13 +1,16 @@
-"""Exact game values by memoized minimax with optional alpha-beta search.
+"""Exact game values by memoized minimax with alpha-beta search.
 
 The search runs on bitmask positions keyed by (zero set, one set, passes);
 whose turn it is follows from the counts.  The transposition table stores
 integer value bounds per position, so null-window probing, re-searching,
 and alpha-beta all stay exact.  Values share the parity of |E|, which lets
-the driver probe on a stride-2 grid.  All option combinations return the
-same value; options only change how much work is done.  On a path numbered
-in path order with at least ``_REVERSAL_MIN_N`` vertices, a position and
-its mirror image share one table key.
+the driver probe on a stride-2 grid.  Options only change how much work is
+done, never the value.  A position with two free vertices, or with three
+and a mover that cannot pass, is valued in closed form: it is never probed,
+stored or counted, so ``SolveResult.nodes`` counts only the positions
+searched through the table.  On a path numbered in path order with at
+least ``_REVERSAL_MIN_N`` vertices, a position and its mirror image share
+one table key.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ def _env_int(name: str, fallback: int) -> int:
 class SolveOptions:
     """Search options; none of them affect the returned value."""
 
-    use_alpha_beta: bool = True
     table_capacity: int | None = None  # None: CORDIALITY_TABLE_CAP or default
     max_n: int | None = None  # None: CORDIALITY_MAX_N or default
 
@@ -87,7 +89,7 @@ class SolveOptions:
 class SolveResult:
     value: int
     best_move: Move | None
-    nodes: int
+    nodes: int  # positions searched through the table; closed-form endgames are not counted
     principal_line: list[Move]
 
 
@@ -102,11 +104,8 @@ class _Searcher:
         self.starter_is_zero = variant.starter is Player.ZERO
         self.budget = variant.pass_budget
         self.edge_count = g.edge_count
-        self.use_ab = opts.use_alpha_beta
         self.capacity = opts.resolved_capacity()
         self.table: dict[int, int] = {}
-        self.max_value = self.edge_count
-        self.min_value = 0 if self.cordiality else -self.edge_count
         self.reverse = self.n >= _REVERSAL_MIN_N and g.edges == tuple(
             (v, v + 1) for v in range(self.n - 1)
         )
@@ -125,7 +124,6 @@ class _Searcher:
         edge_count = self.edge_count
         cordiality = self.cordiality
         budget = self.budget
-        use_ab = self.use_ab
         table = self.table
         capacity = self.capacity
         nodes_cell = self._nodes_cell
@@ -172,35 +170,56 @@ class _Searcher:
             if free == 0:
                 d = 2 * cross - edge_count
                 return abs(d) if cordiality else d
-            can_pass = not zero_to_move and passes < budget and free & (free - 1)
             if free & (free - 1) == 0:  # one vertex left: forced label
                 v = free.bit_length() - 1
                 inc = (adj[v] & (one if zero_to_move else zero)).bit_count()
                 d = 2 * (cross + inc) - edge_count
                 return abs(d) if cordiality else d
-            if not can_pass and free.bit_count() == 2:
-                a_bit = free & -free
-                b_bit = free ^ a_bit
-                a = a_bit.bit_length() - 1
-                b = b_bit.bit_length() - 1
+            can_pass = not zero_to_move and passes < budget
+            count = free.bit_count()
+            if count == 2 or (count == 3 and not can_pass):
+                # Closed-form endgame: the mover labels every free vertex but
+                # one, y, which the opponent labels, so the score depends on
+                # y alone.  With two free the mover picks y (a pass would only
+                # hand that pick to the zero player); with three the mover
+                # strikes one candidate and the opponent picks from the other
+                # two, which yields the median score whoever moves.
                 if zero_to_move:
-                    # zero labels one, the other is forced to one
-                    d1 = 2 * (cross + (adj[a] & one).bit_count()
-                              + (adj[b] & (zero | a_bit)).bit_count()) - edge_count
-                    d2 = 2 * (cross + (adj[b] & one).bit_count()
-                              + (adj[a] & (zero | b_bit)).bit_count()) - edge_count
-                    if cordiality:
-                        d1 = abs(d1)
-                        d2 = abs(d2)
-                    return d1 if d1 < d2 else d2
-                d1 = 2 * (cross + (adj[a] & zero).bit_count()
-                          + (adj[b] & (one | a_bit)).bit_count()) - edge_count
-                d2 = 2 * (cross + (adj[b] & zero).bit_count()
-                          + (adj[a] & (one | b_bit)).bit_count()) - edge_count
+                    near = zero | free
+                    opp = one
+                else:
+                    near = one | free
+                    opp = zero
+                a_bit = free & -free
+                rest = free ^ a_bit
+                b_bit = rest & -rest
+                c_bit = rest ^ b_bit  # 0 with two free
+                a_adj = adj[a_bit.bit_length() - 1]
+                b_adj = adj[b_bit.bit_length() - 1]
+                a_opp = (a_adj & opp).bit_count()
+                b_opp = (b_adj & opp).bit_count()
+                base = 2 * (cross + a_opp + b_opp) - edge_count
+                if c_bit:
+                    c_adj = adj[c_bit.bit_length() - 1]
+                    c_opp = (c_adj & opp).bit_count()
+                    base += 2 * c_opp
+                # the signed score when y = x: base + 2 (|adj[x] & near| - |adj[x] & opp|)
+                s_a = base + 2 * ((a_adj & near).bit_count() - a_opp)
+                s_b = base + 2 * ((b_adj & near).bit_count() - b_opp)
                 if cordiality:
-                    d1 = abs(d1)
-                    d2 = abs(d2)
-                return d1 if d1 > d2 else d2
+                    s_a = abs(s_a)
+                    s_b = abs(s_b)
+                if s_a > s_b:
+                    s_a, s_b = s_b, s_a
+                if not c_bit:
+                    return s_a if zero_to_move else s_b
+                s_c = base + 2 * ((c_adj & near).bit_count() - c_opp)
+                if cordiality:
+                    s_c = abs(s_c)
+                # the median of s_a <= s_b and s_c
+                if s_c <= s_a:
+                    return s_a
+                return s_c if s_c < s_b else s_b
             key = passes << two_n | one << n | zero
             if reverse:
                 rk = passes << two_n | rev_mask(one) << n | rev_mask(zero)
@@ -233,11 +252,10 @@ class _Searcher:
                                    cross + inc, alpha, b)
                     if value < g_val:
                         g_val = value
-                        if use_ab:
-                            if g_val <= alpha:
-                                break
-                            if g_val < b:
-                                b = g_val
+                        if g_val <= alpha:
+                            break
+                        if g_val < b:
+                            b = g_val
             else:
                 g_val = -_BIAS
                 a = alpha
@@ -250,12 +268,11 @@ class _Searcher:
                                    cross + inc, a, beta)
                     if value > g_val:
                         g_val = value
-                        if use_ab:
-                            if g_val >= beta:
-                                cut = True
-                                break
-                            if g_val > a:
-                                a = g_val
+                        if g_val >= beta:
+                            cut = True
+                            break
+                        if g_val > a:
+                            a = g_val
                 if can_pass and not cut:
                     value = search(zero, one, free, passes + 1, True, cross, a, beta)
                     if value > g_val:
@@ -277,7 +294,7 @@ class _Searcher:
         return search
 
     def state_value(self, zero: int, one: int, passes: int) -> int:
-        """Exact value of a position, by grid probing if alpha-beta is on."""
+        """Exact value of a position, by null-window probes on the value grid."""
         free = self.full & ~(zero | one)
         zero_to_move = self.starter_is_zero == (
             (zero.bit_count() + one.bit_count() + passes) % 2 == 0
@@ -288,13 +305,8 @@ class _Searcher:
             low = rest & -rest
             rest ^= low
             cross += (self.g.adj[low.bit_length() - 1] & one).bit_count()
-        if not self.use_ab:
-            return self._search(
-                zero, one, free, passes, zero_to_move, cross,
-                self.min_value - 1, self.max_value + 1,
-            )
-        lo = self.edge_count % 2 if self.cordiality else self.min_value
-        hi = self.max_value
+        lo = self.edge_count % 2 if self.cordiality else -self.edge_count
+        hi = self.edge_count
         while lo < hi:
             # values live on a stride-2 grid; (gamma, gamma + 2) is a null
             # window there: either v <= gamma or v >= gamma + 2
@@ -356,11 +368,14 @@ def solve(
     variant: Variant,
     objective: Objective,
     opts: SolveOptions | None = None,
+    line: bool = True,
 ) -> SolveResult:
     """Exact game value, a best first move, and a principal line.
 
     Ties among optimal moves break toward the lowest vertex index, with a
-    pass ranked after every label.
+    pass ranked after every label.  With ``line=False`` only the value is
+    searched: the principal-line descent is skipped, and the result has no
+    best move and an empty line.
     """
     opts = opts or SolveOptions()
     cap = opts.resolved_max_n()
@@ -379,12 +394,12 @@ def solve(
     if g.n == 0:
         return SolveResult(value=0, best_move=None, nodes=0, principal_line=[])
     value = searcher.state_value(0, 0, 0)
-    line = _descend_line(g, searcher)
+    moves = _descend_line(g, searcher) if line else []
     return SolveResult(
         value=value,
-        best_move=line[0] if line else None,
+        best_move=moves[0] if moves else None,
         nodes=searcher.nodes,
-        principal_line=line,
+        principal_line=moves,
     )
 
 
@@ -407,4 +422,4 @@ def game_number(g: Graph, which: str, opts: SolveOptions | None = None) -> int:
         variant, objective = GAME_NUMBERS[which]
     except KeyError:
         raise ValueError(f"unknown game number {which!r}; pick from {sorted(GAME_NUMBERS)}")
-    return solve(g, variant, objective, opts).value
+    return solve(g, variant, objective, opts, line=False).value

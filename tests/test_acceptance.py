@@ -223,9 +223,7 @@ def test_c12_oracle_equivalence_and_option_independence(full_corpus, monkeypatch
 
     option_grid = [
         SolveOptions(),
-        SolveOptions(use_alpha_beta=False),
         SolveOptions(table_capacity=0),
-        SolveOptions(use_alpha_beta=False, table_capacity=0),
     ]
     spot_checks = [path_graph(n) for n in range(4, 9)]
     spot_checks += enumerate_trees(7)[:4] + [g for g in subjects if not g.is_tree()][:4]

@@ -219,3 +219,23 @@ def test_force_refuses_graph_past_table_entry_range(tmp_path, monkeypatch):
     code, text = run_cli(["solve", "--force", "--edge-list", "--file", str(path)])
     assert code == 3
     assert text == ""
+
+
+def test_solve_no_alpha_beta_flag_is_gone():
+    # alpha-beta is always on; there is no flag to turn it off
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["solve", "--graph", "path:4", "--no-alpha-beta"])
+    assert exc.value.code == 2
+
+
+def test_counts_and_orders_below_one_are_refused():
+    for argv in (["probe-balance", "--count", "-3"],
+                 ["probe-balance", "--count", "0"],
+                 ["probe-balance", "--min-n", "0"],
+                 ["probe-balance", "--max-n", "0"],
+                 ["table", "--min-n", "0"],
+                 ["table", "--max-n", "-1"],
+                 ["verify", "path-bound", "--max-n", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2, argv

@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import pytest
@@ -12,15 +13,18 @@ from cordiality import (
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
     brute_force_value,
+    enumerate_trees,
     from_edges,
     game_number,
     new_game,
     path_graph,
+    random_connected_graph,
     solve,
     star_graph,
     terminal_value,
 )
-from cordiality.game import replay
+from cordiality.game import Player, replay
+from cordiality.solver import _Searcher
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
 
@@ -71,9 +75,7 @@ def test_game_number_dispatch():
 def test_option_independence_small(monkeypatch):
     grids = [
         SolveOptions(),
-        SolveOptions(use_alpha_beta=False),
         SolveOptions(table_capacity=0),
-        SolveOptions(use_alpha_beta=False, table_capacity=0),
     ]
     for n in (5, 6, 7):
         g = path_graph(n)
@@ -167,3 +169,72 @@ def test_edge_cap_matches_table_entry_range(monkeypatch):
         solve(from_edges(33, clique[:511]), ZERO_STARTS, Objective.CORDIALITY, opts)
     with pytest.raises(SolverCapError, match="512 edges"):
         solve(from_edges(33, clique[:512]), ZERO_STARTS, Objective.CORDIALITY, opts)
+
+
+def _moves(g, variant, zero, one, passes):
+    """Whether the zero player moves, and every position one move on."""
+    free = g.full_mask & ~(zero | one)
+    plies = zero.bit_count() + one.bit_count() + passes
+    zero_to_move = (variant.starter is Player.ZERO) == (plies % 2 == 0)
+    children = [
+        (zero | 1 << v, one, passes) if zero_to_move else (zero, one | 1 << v, passes)
+        for v in range(g.n)
+        if free >> v & 1
+    ]
+    if not zero_to_move and passes < variant.pass_budget and free.bit_count() >= 2:
+        children.append((zero, one, passes + 1))
+    return zero_to_move, children
+
+
+def _plain_value(g, variant, objective, zero, one, passes):
+    """Minimax from a position with no memo, no pruning and no closed form."""
+    if not g.full_mask & ~(zero | one):
+        cut = sum(1 for u, v in g.edges if (zero >> u ^ zero >> v) & 1)
+        d = 2 * cut - g.edge_count
+        return abs(d) if objective is Objective.CORDIALITY else d
+    zero_to_move, children = _moves(g, variant, zero, one, passes)
+    values = [_plain_value(g, variant, objective, *child) for child in children]
+    return min(values) if zero_to_move else max(values)
+
+
+def _endgame_positions(g, variant):
+    """Every reachable position with two or three free vertices."""
+    seen = {(0, 0, 0)}
+    stack = [(0, 0, 0)]
+    found = []
+    while stack:
+        position = stack.pop()
+        zero, one, _ = position
+        free_count = g.n - zero.bit_count() - one.bit_count()
+        if free_count in (2, 3):
+            found.append(position)
+        if free_count <= 2:
+            continue
+        for child in _moves(g, variant, *position)[1]:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return found
+
+
+def test_endgame_closed_form_matches_plain_recursion():
+    rng = random.Random(2718)
+    graphs = [tree for n in range(2, 8) for tree in enumerate_trees(n)]
+    graphs += [random_connected_graph(n, 0.5, rng) for n in (6, 7, 8, 8)]
+    one_may_pass_at_three = 0
+    for g in graphs:
+        for variant in ALL_VARIANTS:
+            positions = _endgame_positions(g, variant)
+            for zero, one, passes in positions:
+                free_count = g.n - zero.bit_count() - one.bit_count()
+                zero_to_move = _moves(g, variant, zero, one, passes)[0]
+                if free_count == 3 and not zero_to_move and passes < variant.pass_budget:
+                    one_may_pass_at_three += 1
+            for objective in (Objective.CORDIALITY, Objective.BALANCE):
+                searcher = _Searcher(g, variant, objective, SolveOptions())
+                for zero, one, passes in positions:
+                    assert searcher.state_value(zero, one, passes) == _plain_value(
+                        g, variant, objective, zero, one, passes
+                    ), (g.edges, variant.code, objective.value, zero, one, passes)
+    # the positions where the closed form must not fire are among those checked
+    assert one_may_pass_at_three > 0
