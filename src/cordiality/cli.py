@@ -101,6 +101,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def probability(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 def emit_records(records: list[dict], fmt: str, out) -> None:
     if fmt == "json":
         for record in records:
@@ -464,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--count", type=positive_int, default=20)
     p_probe.add_argument("--min-n", type=positive_int, default=4)
     p_probe.add_argument("--max-n", type=positive_int, default=9)
-    p_probe.add_argument("--p", type=float, default=0.4, help="edge probability")
+    p_probe.add_argument("--p", type=probability, default=0.4, help="edge probability, in (0, 1]")
     p_probe.add_argument("--seed", type=int, default=0)
     p_probe.add_argument("--format", choices=["json", "csv", "table"], default="json")
     p_probe.set_defaults(func=cmd_probe_balance)
@@ -487,6 +494,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "min_n", None) is not None and args.min_n > args.max_n:
+        parser.error(f"--min-n {args.min_n} is above --max-n {args.max_n}")
     try:
         return args.func(args, out)
     except InputError as exc:

@@ -211,6 +211,9 @@ def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
     """Seeded G(n, p) sample, retried until connected."""
     if n < 1:
         raise GraphError("need at least one vertex")
+    if n >= 2 and not 0 < p <= 1:  # also refuses nan
+        # at p <= 0 or nan no connected sample can occur and the retries would never end
+        raise GraphError(f"edge probability must be in (0, 1], got {p}")
     while True:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         g = from_edges(n, pairs)

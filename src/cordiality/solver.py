@@ -3,14 +3,20 @@
 The search runs on bitmask positions keyed by (zero set, one set, passes);
 whose turn it is follows from the counts.  The transposition table stores
 integer value bounds per position, so null-window probing, re-searching,
-and alpha-beta all stay exact.  Values share the parity of |E|, which lets
-the driver probe on a stride-2 grid.  Options only change how much work is
-done, never the value.  A position with two free vertices, or with three
-and a mover that cannot pass, is valued in closed form: it is never probed,
-stored or counted, so ``SolveResult.nodes`` counts only the positions
-searched through the table.  On a path numbered in path order with at
-least ``_REVERSAL_MIN_N`` vertices, a position and its mirror image share
-one table key.
+and alpha-beta all stay exact.  Values share the parity of |E|, so one
+probe loop narrows an interval by null windows of width two: the first at
+the parity floor |E| % 2, where most values lie, then just below each new
+upper bound or at each new lower bound (MTD(f)-style driving).  The root
+value runs it from the least value to |E|.  The principal-line descent
+carries that value down: at each ply it runs the loop on each child, in
+tie-break order, only until the child is shown to keep the value or to
+miss it.  Options only change how much work is done, never the value.  A
+position with two free vertices, or with three and a mover that cannot
+pass, is valued in closed form: it is never probed, stored or counted, so
+``SolveResult.nodes`` counts only the positions searched through the
+table.  On a path numbered in path order with at least
+``_REVERSAL_MIN_N`` vertices, a position and its mirror image share one
+table key.
 """
 
 from __future__ import annotations
@@ -104,6 +110,8 @@ class _Searcher:
         self.starter_is_zero = variant.starter is Player.ZERO
         self.budget = variant.pass_budget
         self.edge_count = g.edge_count
+        # the least value any position can have
+        self.floor = self.edge_count % 2 if self.cordiality else -self.edge_count
         self.capacity = opts.resolved_capacity()
         self.table: dict[int, int] = {}
         self.reverse = self.n >= _REVERSAL_MIN_N and g.edges == tuple(
@@ -293,8 +301,15 @@ class _Searcher:
 
         return search
 
-    def state_value(self, zero: int, one: int, passes: int) -> int:
-        """Exact value of a position, by null-window probes on the value grid."""
+    def bounds(
+        self, zero: int, one: int, passes: int, lo: int, hi: int, target: int | None = None
+    ) -> tuple[int, int]:
+        """Narrow ``[lo, hi]``, which must hold the position's value, by probes.
+
+        ``(gamma, gamma + 2)`` is a null window on the parity grid, so each
+        probe returns a bound ``g`` with ``v <= g`` or ``v >= g``.  The loop
+        stops when ``lo == hi``, or as soon as ``target`` leaves ``[lo, hi]``.
+        """
         free = self.full & ~(zero | one)
         zero_to_move = self.starter_is_zero == (
             (zero.bit_count() + one.bit_count() + passes) % 2 == 0
@@ -305,24 +320,23 @@ class _Searcher:
             low = rest & -rest
             rest ^= low
             cross += (self.g.adj[low.bit_length() - 1] & one).bit_count()
-        lo = self.edge_count % 2 if self.cordiality else -self.edge_count
-        hi = self.edge_count
+        gamma = max(lo, min(self.edge_count % 2, hi - 2))  # most values lie at the floor
         while lo < hi:
-            # values live on a stride-2 grid; (gamma, gamma + 2) is a null
-            # window there: either v <= gamma or v >= gamma + 2
-            if self.cordiality:
-                gamma = lo
-            else:
-                gamma = lo + 2 * ((hi - lo) // 4)
             g_val = self._search(zero, one, free, passes, zero_to_move, cross,
                                  gamma, gamma + 2)
             if g_val <= gamma:
-                hi = g_val if g_val > lo else lo
-            elif g_val >= gamma + 2:
+                hi = max(g_val, lo)
+                gamma = hi - 2
+            else:
                 lo = g_val
-            else:  # pragma: no cover - off-parity value would be a bug
-                lo = hi = g_val
-        return lo
+                gamma = lo
+            if target is not None and not lo <= target <= hi:
+                break
+        return lo, hi
+
+    def state_value(self, zero: int, one: int, passes: int) -> int:
+        """Exact value of a position."""
+        return self.bounds(zero, one, passes, self.floor, self.edge_count)[0]
 
 
 def _root_moves(g: Graph, searcher: _Searcher, zero: int, one: int, passes: int) -> list[Move]:
@@ -345,16 +359,26 @@ def _apply(zero: int, one: int, passes: int, move: Move, zero_to_move: bool) -> 
     return zero, one | bit, passes
 
 
-def _descend_line(g: Graph, searcher: _Searcher) -> list[Move]:
+def _descend_line(g: Graph, searcher: _Searcher, value: int) -> list[Move]:
+    """The lowest-index line along which every position keeps ``value``.
+
+    The mover's children all lie on one side of the value: at or above it
+    when the zero player moves, at or below it when the one player does.  So
+    a child keeps the value iff its value is proven to be neither above nor
+    below it, and the probes stop as soon as either is shown.
+    """
     zero = one = passes = 0
     line: list[Move] = []
     while searcher.full & ~(zero | one):
-        target = searcher.state_value(zero, one, passes)
         plies = zero.bit_count() + one.bit_count() + passes
         zero_to_move = searcher.starter_is_zero == (plies % 2 == 0)
+        if zero_to_move:
+            lo, hi = value, searcher.edge_count
+        else:
+            lo, hi = searcher.floor, value
         for move in _root_moves(g, searcher, zero, one, passes):
             nxt = _apply(zero, one, passes, move, zero_to_move)
-            if searcher.state_value(*nxt) == target:
+            if searcher.bounds(*nxt, lo, hi, target=value) == (value, value):
                 line.append(move)
                 zero, one, passes = nxt
                 break
@@ -394,7 +418,7 @@ def solve(
     if g.n == 0:
         return SolveResult(value=0, best_move=None, nodes=0, principal_line=[])
     value = searcher.state_value(0, 0, 0)
-    moves = _descend_line(g, searcher) if line else []
+    moves = _descend_line(g, searcher, value) if line else []
     return SolveResult(
         value=value,
         best_move=moves[0] if moves else None,

@@ -239,3 +239,34 @@ def test_counts_and_orders_below_one_are_refused():
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2, argv
+
+
+def test_probe_balance_p_outside_unit_interval_is_refused(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a graph was sampled")
+
+    monkeypatch.setattr(cli, "random_connected_graph", no_sampling)
+    for p in ("0", "-0.5", "1.5", "nan", "inf", "-inf"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["probe-balance", "--p", p])
+        assert exc.value.code == 2, p
+
+
+def test_inverted_order_ranges_are_refused(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "random_connected_graph", no_work)
+    monkeypatch.setattr(cli, "solve", no_work)
+    for argv in (["table", "--min-n", "10", "--max-n", "5"],
+                 ["probe-balance", "--min-n", "9", "--max-n", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert f"--min-n {argv[2]} is above --max-n {argv[4]}" in err, err
+    # an equal pair is a one-order range
+    monkeypatch.undo()
+    code, text = run_cli(["table", "--min-n", "5", "--max-n", "5"])
+    assert code == 0
+    assert len(text.strip().splitlines()) == 2

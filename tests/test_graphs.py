@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from cordiality import (
     is_balanced_bipartition,
     is_cordial_labeling,
     path_graph,
+    random_connected_graph,
     spider_graph,
     star_graph,
 )
@@ -32,6 +35,18 @@ def test_from_edges_validation_and_dedup():
         from_edges(3, [(0, 3)])
     with pytest.raises(GraphError):
         from_edges(3, [(1, 1)])
+
+
+def test_random_connected_graph_refuses_probabilities_outside_unit_interval():
+    # none of these is a probability; at 0, below 0 or nan no connected
+    # sample on two or more vertices can occur, so the retries would never end
+    rng = random.Random(0)
+    for p in (0.0, -0.5, 1.5, float("nan"), float("inf")):
+        for n in (2, 5):
+            with pytest.raises(GraphError, match="edge probability"):
+                random_connected_graph(n, p, rng)
+    assert random_connected_graph(1, 0.0, rng).n == 1
+    assert random_connected_graph(4, 1.0, rng).edge_count == 6
 
 
 def test_cut_stats_known_values():

@@ -197,8 +197,8 @@ def _plain_value(g, variant, objective, zero, one, passes):
     return min(values) if zero_to_move else max(values)
 
 
-def _endgame_positions(g, variant):
-    """Every reachable position with two or three free vertices."""
+def _reachable_positions(g, variant, free_counts):
+    """Every reachable position whose count of free vertices is in ``free_counts``."""
     seen = {(0, 0, 0)}
     stack = [(0, 0, 0)]
     found = []
@@ -206,9 +206,9 @@ def _endgame_positions(g, variant):
         position = stack.pop()
         zero, one, _ = position
         free_count = g.n - zero.bit_count() - one.bit_count()
-        if free_count in (2, 3):
+        if free_count in free_counts:
             found.append(position)
-        if free_count <= 2:
+        if free_count <= min(free_counts):
             continue
         for child in _moves(g, variant, *position)[1]:
             if child not in seen:
@@ -221,10 +221,17 @@ def test_endgame_closed_form_matches_plain_recursion():
     rng = random.Random(2718)
     graphs = [tree for n in range(2, 8) for tree in enumerate_trees(n)]
     graphs += [random_connected_graph(n, 0.5, rng) for n in (6, 7, 8, 8)]
+    inputs = [(g, (2, 3)) for g in graphs]  # every endgame position
+    # every position at any free count, so the root probe loop also meets
+    # balance values below its first window at the parity floor
+    small = [tree for n in range(1, 7) for tree in enumerate_trees(n)]
+    small += [random_connected_graph(n, 0.5, rng) for n in (6, 7)]
+    inputs += [(g, range(g.n + 1)) for g in small]
     one_may_pass_at_three = 0
-    for g in graphs:
+    below_first_window = 0
+    for g, free_counts in inputs:
         for variant in ALL_VARIANTS:
-            positions = _endgame_positions(g, variant)
+            positions = _reachable_positions(g, variant, free_counts)
             for zero, one, passes in positions:
                 free_count = g.n - zero.bit_count() - one.bit_count()
                 zero_to_move = _moves(g, variant, zero, one, passes)[0]
@@ -233,8 +240,45 @@ def test_endgame_closed_form_matches_plain_recursion():
             for objective in (Objective.CORDIALITY, Objective.BALANCE):
                 searcher = _Searcher(g, variant, objective, SolveOptions())
                 for zero, one, passes in positions:
-                    assert searcher.state_value(zero, one, passes) == _plain_value(
-                        g, variant, objective, zero, one, passes
-                    ), (g.edges, variant.code, objective.value, zero, one, passes)
+                    value = _plain_value(g, variant, objective, zero, one, passes)
+                    assert searcher.state_value(zero, one, passes) == value, (
+                        g.edges, variant.code, objective.value, zero, one, passes
+                    )
+                    below_first_window += value < g.edge_count % 2
     # the positions where the closed form must not fire are among those checked
     assert one_may_pass_at_three > 0
+    assert below_first_window > 0
+
+
+def _reference_line(g, variant, objective):
+    """The value and the lowest-index optimal line, pass last, by plain recursion."""
+    position = (0, 0, 0)
+    value = None
+    line = []
+    while g.full_mask & ~(position[0] | position[1]):
+        zero_to_move, children = _moves(g, variant, *position)
+        values = [_plain_value(g, variant, objective, *child) for child in children]
+        if value is None:  # the root: every later position on the line keeps its value
+            value = min(values) if zero_to_move else max(values)
+        child = children[values.index(value)]
+        placed = (child[0] | child[1]) ^ (position[0] | position[1])
+        line.append(Move.label(placed.bit_length() - 1) if placed else Move(None))
+        position = child
+    if value is None:  # no vertices
+        value = _plain_value(g, variant, objective, *position)
+    return value, line
+
+
+def test_principal_line_is_lowest_index_optimal_line():
+    rng = random.Random(1618)
+    graphs = [tree for n in range(1, 8) for tree in enumerate_trees(n)]
+    graphs += [random_connected_graph(n, 0.5, rng) for n in (5, 6, 7, 7)]
+    for g in graphs:
+        for variant in ALL_VARIANTS:
+            for objective in (Objective.CORDIALITY, Objective.BALANCE):
+                value, line = _reference_line(g, variant, objective)
+                for opts in (SolveOptions(), SolveOptions(table_capacity=0)):
+                    result = solve(g, variant, objective, opts)
+                    assert (result.value, result.principal_line) == (value, line), (
+                        g.edges, variant.code, objective.value, opts
+                    )
