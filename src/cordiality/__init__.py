@@ -56,7 +56,6 @@ from .strategies import (
     Strategy,
     StrategyError,
     balance_maximizer_strategy,
-    small_path_strategy,
     path_bound,
     path_bound_mod6,
     path_strategy,

@@ -18,13 +18,18 @@ further branching, and the shape is selected by an elimination order:
 a long arm first (case 1), then repeated arm sizes (2, 3, 6), then the
 {1,3} pair (case 5), then the leftovers {1,2} and {2,3} (cases 4, 7).
 Every tree with a branch vertex matches exactly one shape.
+
+Vertex sets are bitmasks over the host graph (bit i is vertex i):
+``find_branch_in`` takes the subtree as a mask, and a decomposition reports
+the interior S and the remainder T' as masks.  Flood fills and arm orders
+come from ``graphs.component`` and ``graphs.path_walk``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, component, iter_bits, path_walk, vertex_mask
 from .trees import NonTreeError
 
 
@@ -44,137 +49,74 @@ class PathComponents:
 class BranchDecomposition:
     case_id: int
     attach: int  # v, shared by branch and remainder
-    branch_vertices: frozenset[int]  # S = B minus v
-    remainder_vertices: frozenset[int]  # T', includes v
+    branch_mask: int  # S = B minus v
+    remainder_mask: int  # T', includes v
     roles: dict[str, int]  # figure names "v", "v1", ... to vertex ids
 
-    def branch(self) -> frozenset[int]:
-        return self.branch_vertices | {self.attach}
 
-
-def _induced_neighbors(g: Graph, verts: frozenset[int], v: int) -> list[int]:
-    return [u for u in g.neighbors(v) if u in verts]
-
-
-def _check_subtree(g: Graph, verts: frozenset[int]) -> None:
-    if not verts:
+def _check_subtree(g: Graph, mask: int) -> None:
+    if not mask:
         raise NonTreeError("empty vertex set")
-    edges = sum(1 for u, v in g.edges if u in verts and v in verts)
-    if edges != len(verts) - 1:
+    edges = sum((g.adj[v] & mask).bit_count() for v in iter_bits(mask)) // 2
+    if edges != mask.bit_count() - 1:
         raise NonTreeError("vertex set does not induce a tree")
-    seen = {min(verts)}
-    frontier = [min(verts)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in _induced_neighbors(g, verts, v):
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    if seen != set(verts):
+    if component(g, mask, (mask & -mask).bit_length() - 1) != mask:
         raise NonTreeError("vertex set does not induce a connected subgraph")
 
 
-def arm_components(g: Graph, verts: frozenset[int], u: int) -> PathComponents:
-    """Arms around u: branch-free components of the subtree minus u.
+def arm_components(g: Graph, mask: int, u: int) -> PathComponents:
+    """Arms around u: branch-free components of the subtree ``mask`` minus u.
 
     Each arm is reported from the u-adjacent vertex outward.  Components
-    containing another branch vertex (the stem direction) are left out.
+    containing another branch vertex (the stem direction) are left out:
+    they are exactly the ones that are not a path starting next to u.
     """
-    branch_like = {
-        v for v in verts if len(_induced_neighbors(g, verts, v)) >= 3
-    }
+    rest = mask & ~(1 << u)
     arms = []
-    for start in sorted(_induced_neighbors(g, verts, u)):
-        comp = [start]
-        seen = {u, start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in _induced_neighbors(g, verts, v):
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        nxt.append(w)
-            frontier = nxt
-        if any(v in branch_like for v in comp):
-            continue  # stem direction, not an arm
-        # branch-free component of a tree is a dangling path; order it
-        ordered = [start]
-        prev = u
-        cur = start
-        while True:
-            ahead = [w for w in _induced_neighbors(g, verts, cur) if w != prev]
-            if not ahead:
-                break
-            prev, cur = cur, ahead[0]
-            ordered.append(cur)
-        arms.append(tuple(ordered))
+    for start in iter_bits(g.adj[u] & rest):
+        arm = path_walk(g, component(g, rest, start), start)
+        if arm is not None:
+            arms.append(arm)
     arms.sort()
     return PathComponents(u=u, components=tuple(arms))
 
 
-def _pick_center(g: Graph, verts: frozenset[int]) -> int:
-    """Lowest-index branch vertex with at most one branching direction."""
-    branch_verts = sorted(
-        v for v in verts if len(_induced_neighbors(g, verts, v)) >= 3
-    )
-    if not branch_verts:
-        raise NonTreeError("tree has no vertex of degree 3 or more")
-    branch_set = set(branch_verts)
-    for u in branch_verts:
-        branching_dirs = 0
-        for start in _induced_neighbors(g, verts, u):
-            seen = {u, start}
-            frontier = [start]
-            found = start in branch_set
-            while frontier and not found:
-                nxt = []
-                for v in frontier:
-                    for w in _induced_neighbors(g, verts, v):
-                        if w not in seen:
-                            if w in branch_set:
-                                found = True
-                                break
-                            seen.add(w)
-                            nxt.append(w)
-                    if found:
-                        break
-                frontier = nxt
-            if found:
-                branching_dirs += 1
-        if branching_dirs <= 1:
-            return u
-    raise NonTreeError("no decomposition center found")  # pragma: no cover
+def _pick_center(g: Graph, mask: int) -> PathComponents:
+    """Arms of the lowest-index branch vertex with at most one branching direction."""
+    for u in iter_bits(mask):
+        degree = (g.adj[u] & mask).bit_count()
+        if degree >= 3:
+            arms = arm_components(g, mask, u)
+            if degree - len(arms.components) <= 1:
+                return arms
+    # a tree with a branch vertex always has one whose other branch
+    # vertices all lie in one direction, so only branch-free trees get here
+    raise NonTreeError("tree has no vertex of degree 3 or more")
 
 
-def find_branch_in(g: Graph, verts: frozenset[int]) -> BranchDecomposition:
-    """Decompose the subtree induced by ``verts``; see module docstring."""
-    _check_subtree(g, verts)
-    u = _pick_center(g, verts)
-    arms = arm_components(g, verts, u).components
+def find_branch_in(g: Graph, mask: int) -> BranchDecomposition:
+    """Decompose the subtree induced by the vertex bitmask ``mask``; see module docstring."""
+    _check_subtree(g, mask)
+    center = _pick_center(g, mask)
+    u, arms = center.u, center.components
 
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for arm in arms:
         by_size.setdefault(len(arm), []).append(arm)
 
     def stem_neighbor() -> int:
-        arm_verts = {v for arm in arms for v in arm}
-        candidates = [w for w in _induced_neighbors(g, verts, u) if w not in arm_verts]
-        if len(candidates) != 1:  # pragma: no cover - ruled out by elimination
+        stem = g.adj[u] & mask & ~vertex_mask(arm[0] for arm in arms)
+        if stem.bit_count() != 1:  # pragma: no cover - ruled out by elimination
             raise NonTreeError("expected exactly one stem direction")
-        return candidates[0]
+        return stem.bit_length() - 1
 
     def build(case_id: int, attach: int, roles: dict[str, int]) -> BranchDecomposition:
-        s = frozenset(v for name, v in roles.items() if name != "v")
-        rest = frozenset(verts) - s
+        s = vertex_mask(v for name, v in roles.items() if name != "v")
         return BranchDecomposition(
             case_id=case_id,
             attach=attach,
-            branch_vertices=s,
-            remainder_vertices=rest,
+            branch_mask=s,
+            remainder_mask=mask & ~s,
             roles=roles,
         )
 
@@ -233,4 +175,4 @@ def find_branch(t: Graph) -> BranchDecomposition:
         raise NonTreeError("input is not a tree")
     if t.is_path():
         raise NonTreeError("paths have no branch decomposition; play them directly")
-    return find_branch_in(t, frozenset(range(t.n)))
+    return find_branch_in(t, t.full_mask)

@@ -28,10 +28,9 @@ from .graphs import Graph, GraphError, path_graph, random_connected_graph, spide
 from .harness import worst_case_line, worst_case_vs_optimal
 from .makerbreaker import export_hypergraph, maker_breaker_value, winning_family
 from .branching import find_branch
-from .solver import SolveOptions, SolverCapError, game_number, solve
+from .solver import GAME_NUMBERS, SolveOptions, SolverCapError, game_number, solve
 from .strategies import (
     balance_maximizer_strategy,
-    small_path_strategy,
     path_bound,
     path_bound_mod6,
     path_strategy,
@@ -45,8 +44,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP_REFUSED = 3
-
-FIXTURES = ("small-paths", "path-bound", "tree-bound", "balance-bound", "mb-equiv")
 
 
 class InputError(ValueError):
@@ -169,20 +166,16 @@ def cmd_table(args, out) -> int:
         g = path_graph(n)
         row: dict = {"n": n}
         try:
-            row["cg"] = solve(g, ZERO_STARTS, Objective.CORDIALITY, line=False).value
-            row["cg_i"] = solve(g, ONE_STARTS, Objective.CORDIALITY, line=False).value
-            row["cg_ip"] = solve(g, ONE_STARTS_WITH_PASS, Objective.CORDIALITY, line=False).value
-            row["bg"] = solve(g, ZERO_STARTS, Objective.BALANCE, line=False).value
+            for name, (variant, objective) in GAME_NUMBERS.items():
+                row[name] = solve(g, variant, objective, line=False).value
         except SolverCapError:
-            row.update({"cg": "", "cg_i": "", "cg_ip": "", "bg": "", "skipped": True})
+            row.update(dict.fromkeys(GAME_NUMBERS, ""), skipped=True)
             records.append(row)
             continue
         row["path_bound"] = path_bound(n)
         row["bound_ok"] = row["cg"] <= path_bound(n) and row["cg"] <= path_bound_mod6(n)
-        parity = (g.edge_count) % 2
-        row["parity_ok"] = all(
-            row[k] % 2 == parity for k in ("cg", "cg_i", "cg_ip")
-        ) and row["bg"] % 2 == parity
+        parity = g.edge_count % 2
+        row["parity_ok"] = all(row[name] % 2 == parity for name in GAME_NUMBERS)
         row["skipped"] = False
         records.append(row)
     emit_records(records, args.format, out)
@@ -203,7 +196,8 @@ def _strategy_record(fixture, g, tag, bound, worst, ok, witness=None):
     return record
 
 
-def _verify_small_paths(records) -> bool:
+def _verify_small_paths(records, max_n=None) -> bool:
+    """Exact values and scripts on the paths with 3 to 6 vertices; ``max_n`` is unused."""
     all_ok = True
     expected = {3: 0, 4: 1, 5: 2, 6: 1}
     for n, value in expected.items():
@@ -222,7 +216,7 @@ def _verify_small_paths(records) -> bool:
                 }
             )
             all_ok &= ok
-            strategy = small_path_strategy(n, variant)
+            strategy = path_strategy(n)
             worst = worst_case_vs_optimal(g, strategy, variant, Objective.CORDIALITY)
             ok = worst <= value
             witness = None
@@ -313,17 +307,11 @@ def _verify_balance_bound(records, max_n) -> bool:
 
 def _verify_mb_equiv(records, max_n) -> bool:
     all_ok = True
-    combos = (
-        ("cg", ZERO_STARTS, Objective.CORDIALITY),
-        ("cg_i", ONE_STARTS, Objective.CORDIALITY),
-        ("cg_ip", ONE_STARTS_WITH_PASS, Objective.CORDIALITY),
-        ("bg", ZERO_STARTS, Objective.BALANCE),
-    )
     subjects = [path_graph(n) for n in range(2, max_n + 1)]
     for n in range(2, min(max_n, 6) + 1):
         subjects.extend(enumerate_trees(n))
     for g in subjects:
-        for name, variant, objective in combos:
+        for name, (variant, objective) in GAME_NUMBERS.items():
             mb = maker_breaker_value(g, variant, objective)
             sv = solve(g, variant, objective, line=False).value
             ok = mb == sv
@@ -341,23 +329,24 @@ def _verify_mb_equiv(records, max_n) -> bool:
     return all_ok
 
 
+# fixture name -> (check, default --max-n)
+_FIXTURE_RUNS = {
+    "small-paths": (_verify_small_paths, None),
+    "path-bound": (_verify_path_bound, 12),
+    "tree-bound": (_verify_tree_bound, 8),
+    "balance-bound": (_verify_balance_bound, 10),
+    "mb-equiv": (_verify_mb_equiv, 8),
+}
+FIXTURES = tuple(_FIXTURE_RUNS)
+
+
 def cmd_verify(args, out) -> int:
     names = FIXTURES if args.fixture == "all" else (args.fixture,)
     records: list[dict] = []
     all_ok = True
     for name in names:
-        if name == "small-paths":
-            all_ok &= _verify_small_paths(records)
-        elif name == "path-bound":
-            all_ok &= _verify_path_bound(records, args.max_n or 12)
-        elif name == "tree-bound":
-            all_ok &= _verify_tree_bound(records, args.max_n or 8)
-        elif name == "balance-bound":
-            all_ok &= _verify_balance_bound(records, args.max_n or 10)
-        elif name == "mb-equiv":
-            all_ok &= _verify_mb_equiv(records, args.max_n or 8)
-        else:
-            raise InputError(f"unknown fixture {name!r}; pick from {FIXTURES + ('all',)}")
+        run, default_max_n = _FIXTURE_RUNS[name]
+        all_ok &= run(records, args.max_n or default_max_n)
     emit_records(records, args.format, out)
     summary = "all fixtures passed" if all_ok else "FAILURES above"
     print(summary, file=sys.stderr)
@@ -417,8 +406,7 @@ def cmd_mb(args, out) -> int:
                 "match": mb == sv,
             }
         )
-    if records:
-        emit_records(records, args.format, out)
+    emit_records(records, args.format, out)
     return EXIT_OK
 
 
@@ -498,12 +486,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         parser.error(f"--min-n {args.min_n} is above --max-n {args.max_n}")
     try:
         return args.func(args, out)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (Graph6Error, GraphError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except SolverCapError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_CAP_REFUSED

@@ -1,4 +1,10 @@
-"""Immutable simple undirected graphs and cut/labeling arithmetic."""
+"""Immutable simple undirected graphs and cut/labeling arithmetic.
+
+Vertex sets are bitmasks (bit i is vertex i).  ``component`` and
+``path_walk`` are the one flood fill and the one path walk inside such a
+mask; connectivity checks, the branch decomposition and the strategies'
+territories all use them.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,11 @@ from typing import Iterable, Iterator, Sequence
 
 class GraphError(ValueError):
     """Malformed graph construction input."""
+
+
+# a tiny positive edge probability makes a connected sample practically
+# unreachable; past this many draws the sampler gives up
+MAX_CONNECT_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -43,17 +54,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1) if 0 <= v < self.n else False
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen == self.full_mask
+        return self.n <= 1 or component(self, self.full_mask, 0) == self.full_mask
 
     def is_tree(self) -> bool:
         return self.n >= 1 and len(self.edges) == self.n - 1 and self.is_connected()
@@ -62,22 +63,6 @@ class Graph:
         if self.n == 0:
             return False
         return self.is_tree() and all(self.degree(v) <= 2 for v in range(self.n))
-
-    def path_order(self) -> list[int]:
-        """Vertices of a path graph in endpoint-to-endpoint order."""
-        if not self.is_path():
-            raise GraphError("graph is not a path")
-        if self.n == 1:
-            return [0]
-        start = min(v for v in range(self.n) if self.degree(v) == 1)
-        order = [start]
-        prev = -1
-        cur = start
-        while len(order) < self.n:
-            nxt = next(u for u in self.neighbors(cur) if u != prev)
-            order.append(nxt)
-            prev, cur = cur, nxt
-        return order
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={list(self.edges)})"
@@ -89,6 +74,40 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def component(g: Graph, mask: int, start: int) -> int:
+    """The vertices of ``mask`` reachable from ``start`` inside ``mask``, as a mask."""
+    seen = frontier = 1 << start
+    while frontier:
+        reach = 0
+        for v in iter_bits(frontier):
+            reach |= g.adj[v]
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def path_walk(g: Graph, mask: int, start: int) -> tuple[int, ...] | None:
+    """The vertices of ``mask`` in path order from ``start``.
+
+    None unless ``mask`` induces a path with ``start`` at one end: each
+    step must find exactly one unvisited neighbor inside ``mask``, so a
+    branching vertex, a chord or cycle, or a second component all fail.
+    """
+    if not mask >> start & 1:
+        return None
+    order = [start]
+    left = mask ^ 1 << start
+    cur = start
+    while left:
+        ahead = g.adj[cur] & left
+        if not ahead or ahead & (ahead - 1):
+            return None
+        cur = ahead.bit_length() - 1
+        order.append(cur)
+        left ^= ahead
+    return tuple(order)
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -208,14 +227,17 @@ def is_cordial_labeling(g: Graph, zero_side: Iterable[int]) -> bool:
 
 
 def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
-    """Seeded G(n, p) sample, retried until connected."""
+    """Seeded G(n, p) sample, retried until connected, at most ``MAX_CONNECT_DRAWS`` times."""
     if n < 1:
         raise GraphError("need at least one vertex")
     if n >= 2 and not 0 < p <= 1:  # also refuses nan
         # at p <= 0 or nan no connected sample can occur and the retries would never end
         raise GraphError(f"edge probability must be in (0, 1], got {p}")
-    while True:
+    for _ in range(MAX_CONNECT_DRAWS):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         g = from_edges(n, pairs)
         if g.is_connected():
             return g
+    raise GraphError(
+        f"no connected G({n}, {p}) sample in {MAX_CONNECT_DRAWS} draws; raise the edge probability"
+    )

@@ -12,6 +12,13 @@ by the observed local position plus the opponent's last move, so a
 strategy remembers little: it stays immutable and cheap to advance, and
 playout memoization merges across interleavings.
 
+Territories are vertex bitmasks: a tree policy recurses on the masks that
+``branching.find_branch_in`` returns, and a split keeps one mask per part.
+The two six-position scripts (the 6-path and two 3-arms under a center)
+share one book in ``_FirstMoveMemory`` (the opening, the answers to an
+opening, the arm-pair play after an opening on the middle of an arm, and
+the fallback) and differ only in their follow-up moves.
+
 The one-player balance strategy mirrors the same split idea: a recursive
 main path plus a terminal vertex pair whose inner edge it always claims.
 """
@@ -19,8 +26,8 @@ main path plus a terminal vertex pair whose inner edge it always claims.
 from __future__ import annotations
 
 from .branching import BranchDecomposition, find_branch_in
-from .game import GameState, Move, Player, Variant
-from .graphs import Graph, GraphError, vertex_mask
+from .game import GameState, Move, Player
+from .graphs import Graph, GraphError, iter_bits, path_walk, vertex_mask
 from .trees import NonTreeError
 
 
@@ -53,10 +60,6 @@ class Strategy:
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__, **changes)
         return twin
-
-
-def _min_free(free: set[int]) -> int:
-    return min(free)
 
 
 class _ScriptBase(Strategy):
@@ -111,7 +114,7 @@ class TinyScript(_ScriptBase):
     provenance = "exact-tiny"
 
     def _decide(self, own, opp, free, prompted):
-        return _min_free(free)
+        return min(free)
 
 
 class Path3Script(_ScriptBase):
@@ -121,9 +124,9 @@ class Path3Script(_ScriptBase):
 
     def _decide(self, own, opp, free, prompted):
         if prompted is None:
-            return 2 if 2 in free else _min_free(free)
+            return 2 if 2 in free else min(free)
         safe = free - {2}
-        return _min_free(safe) if safe else _min_free(free)
+        return min(safe) if safe else min(free)
 
 
 class _ClassScript(_ScriptBase):
@@ -142,13 +145,13 @@ class _ClassScript(_ScriptBase):
             cls = first if prompted in first else second
             mine = free & cls
             if mine:
-                return _min_free(mine)
+                return min(mine)
             other = free & (second if cls is first else first)
-            return _min_free(other) if other else _min_free(free)
+            return min(other) if other else min(free)
         lacking = [c for c in self.classes if not own & c and free & c]
         if len(lacking) == 1:
-            return _min_free(free & lacking[0])
-        return _min_free(free)
+            return min(free & lacking[0])
+        return min(free)
 
 
 class Path4Script(_ClassScript):
@@ -173,11 +176,35 @@ def _avoid_bad(own: set, free: set, bad: tuple) -> int:
     for cand in sorted(free):
         if frozenset(own | {cand}) not in bad:
             return cand
-    return _min_free(free)
+    return min(free)
+
+
+def _one_per_pair(own: set, free: set, prompted: int | None, pairs: tuple) -> int | None:
+    """A spot in a pair still lacking our label, preferring the pair the
+    opponent just played; None once no pair lacks one."""
+    lacking = [pair for pair in pairs if not own & pair and free & pair]
+    for pair in lacking:
+        if prompted in pair:
+            return min(free & pair)
+    return min(free & lacking[0]) if lacking else None
+
+
+_OUTER_PAIRS = (frozenset({1, 3}), frozenset({4, 6}))
 
 
 class _FirstMoveMemory(_ScriptBase):
-    """Script that remembers who opened its territory and with what."""
+    """Six-position script that remembers who opened its territory and with what.
+
+    The shared book: open on 1; answer an opening on 1, 2 or 3 with 3, 5 or
+    1, and read an opening on 4-6 through ``flip``, an automorphism mapping
+    it onto 1-3; after an opening on 2, take one label in each outer pair
+    {1,3}, {4,6}, following the opponent into the pair they just played.
+    Every later move comes from ``_next`` (None defers), and the fallback is
+    the lowest free spot completing no set in ``bad``.
+    """
+
+    flip: dict[int, int] = {}
+    bad: tuple = ()
 
     def __init__(self, verts):
         super().__init__(verts)
@@ -194,6 +221,29 @@ class _FirstMoveMemory(_ScriptBase):
     def state_key(self):
         return (self.opened_by_us, self.opp_first)
 
+    def _decide(self, own, opp, free, prompted):
+        first = None if self.opened_by_us else self.opp_first
+        if first is None or first <= 3:
+            return self._answer(own, opp, free, prompted, first)
+        f = self.flip
+        local = self._answer({f[p] for p in own}, {f[p] for p in opp}, {f[p] for p in free},
+                             None if prompted is None else f[prompted], f[first])
+        return f[local]
+
+    def _answer(self, own, opp, free, prompted, first):
+        """The book move; ``first`` is the opponent's opening on 1-3, or
+        None when we opened or nobody has."""
+        if not own:
+            return 1 if first is None else {1: 3, 2: 5, 3: 1}[first]
+        if first == 2:
+            move = _one_per_pair(own, free, prompted, _OUTER_PAIRS)
+        else:
+            move = self._next(own, opp, free, first)
+        return _avoid_bad(own, free, self.bad) if move is None else move
+
+    def _next(self, own: set, opp: set, free: set, first: int | None) -> int | None:
+        raise NotImplementedError
+
 
 class Path6Script(_FirstMoveMemory):
     """Endgame book for a 6-vertex path; final discrepancy 1 in every order.
@@ -201,53 +251,19 @@ class Path6Script(_FirstMoveMemory):
     Opening: take an end, then the adjacent or the mirror-adjacent spot,
     then anything that completes none of the eight discrepancy>=3 sets.
     Answering: mirror-pair the opponent's opening (1->3, 2->5, 3->1 and the
-    reversed images), then steer by the stored opening.
+    reversed images), then the lower free spot of {4,6} after an opening on
+    1 or of {2,5} after one on 3.
     """
 
     provenance = "path-script-6"
+    flip = {p: 7 - p for p in range(1, 7)}
+    bad = _P6_BAD
+    second = {None: (2, 5), 1: (4, 6), 3: (2, 5)}  # by opening, in preference order
 
-    def _decide(self, own, opp, free, prompted):
-        if self.opened_by_us or (self.opp_first is None):
-            if not own:
-                return 1
-            if len(own) == 1:
-                return 2 if 2 in free else (5 if 5 in free else _avoid_bad(own, free, _P6_BAD))
-            return _avoid_bad(own, free, _P6_BAD)
-        i1 = self.opp_first
-        if i1 >= 4:  # play the reversed-path image of the script
-            mirror = {p: 7 - p for p in range(1, 7)}
-            local = self._decide_opened({mirror[p] for p in own},
-                                        {mirror[p] for p in opp},
-                                        {mirror[p] for p in free},
-                                        7 - i1,
-                                        None if prompted is None else mirror[prompted])
-            return mirror[local]
-        return self._decide_opened(own, opp, free, i1, prompted)
-
-    def _decide_opened(self, own, opp, free, i1, prompted):
-        if not own:
-            return {1: 3, 2: 5, 3: 1}[i1]
-        if i1 == 1:
-            if len(own) == 1:
-                side = free & {4, 6}
-                return _min_free(side) if side else _avoid_bad(own, free, _P6_BAD)
-            return _avoid_bad(own, free, _P6_BAD)
-        if i1 == 3:
-            if len(own) == 1:
-                side = free & {2, 5}
-                return _min_free(side) if side else _avoid_bad(own, free, _P6_BAD)
-            return _avoid_bad(own, free, _P6_BAD)
-        # opponent opened on 2: finish with one label in each outer pair,
-        # following them into whichever pair they just played
-        pairs = (frozenset({1, 3}), frozenset({4, 6}))
-        lacking = [p for p in pairs if not own & p and free & p]
-        if prompted is not None:
-            for pair in lacking:
-                if prompted in pair:
-                    return _min_free(free & pair)
-        if lacking:
-            return _min_free(free & lacking[0])
-        return _avoid_bad(own, free, _P6_BAD)
+    def _next(self, own, opp, free, first):
+        if len(own) == 1:
+            return next((p for p in self.second[first] if p in free), None)
+        return None
 
 
 class Case3Script(_ScriptBase):
@@ -264,19 +280,19 @@ class Case3Script(_ScriptBase):
             if prompted in middle:
                 other = middle - {prompted}
                 if other & free:
-                    return _min_free(other & free)
+                    return min(other & free)
             if prompted in outer:
                 other = outer - {prompted}
                 if other & free:
-                    return _min_free(other & free)
+                    return min(other & free)
                 if free & middle:
-                    return _min_free(free & middle)
+                    return min(free & middle)
             if free & middle:
-                return _min_free(free & middle)
-            return _min_free(free)
+                return min(free & middle)
+            return min(free)
         if free & outer:
-            return _min_free(free & outer)
-        return _min_free(free)
+            return min(free & outer)
+        return min(free)
 
 
 class Case5Script(_ScriptBase):
@@ -290,14 +306,8 @@ class Case5Script(_ScriptBase):
     pairs = (frozenset({1, 2}), frozenset({3, 4}))
 
     def _decide(self, own, opp, free, prompted):
-        lacking = [p for p in self.pairs if not own & p and free & p]
-        if prompted is not None:
-            for p in lacking:
-                if prompted in p:
-                    return _min_free(free & p)
-        if lacking:
-            return _min_free(free & lacking[0])
-        return _min_free(free)
+        move = _one_per_pair(own, free, prompted, self.pairs)
+        return min(free) if move is None else move
 
 
 _CASE6_WIN_SPLIT = (
@@ -319,58 +329,26 @@ class Case6Script(_FirstMoveMemory):
     discrepancy 2 regardless of the center's label."""
 
     provenance = "twin-3-arms"
+    flip = {1: 4, 2: 5, 3: 6, 4: 1, 5: 2, 6: 3}  # swap the two arms
+    # after our answer to an opening on 1 or 3: (spot watched, reply if the
+    # opponent holds it, reply otherwise)
+    second = {1: (4, 6, 4), 3: (5, 2, 5)}
 
-    def _decide(self, own, opp, free, prompted):
-        if self.opened_by_us or (self.opp_first is None):
-            if not own:
-                return 1
+    def _next(self, own, opp, free, first):
+        if first is None:
             if len(own) == 1:
-                return 2 if 6 in opp else (6 if 6 in free else _min_free(free))
+                return 2 if 6 in opp else (6 if 6 in free else None)
             if own == {1, 6}:
-                non_center = sorted(free - {4})
-                return non_center[0] if non_center else _min_free(free)
+                return min(free - {4}, default=None)
             if own == {1, 2}:
-                if 4 in opp:
-                    return 5 if 5 in free else _min_free(free)
-                return 4 if 4 in free else _min_free(free)
-            return _min_free(free)
-        i1 = self.opp_first
-        if i1 >= 4:  # swap the two arms
-            swap = {1: 4, 2: 5, 3: 6, 4: 1, 5: 2, 6: 3}
-            local = self._decide_opened({swap[p] for p in own},
-                                        {swap[p] for p in opp},
-                                        {swap[p] for p in free},
-                                        swap[i1],
-                                        None if prompted is None else swap[prompted])
-            return swap[local]
-        return self._decide_opened(own, opp, free, i1, prompted)
-
-    def _decide_opened(self, own, opp, free, i1, prompted):
-        if not own:
-            return {1: 3, 2: 5, 3: 1}[i1]
-        if i1 == 1:
-            if len(own) == 1:
-                if 4 in opp:
-                    return 6 if 6 in free else _min_free(free)
-                return 4 if 4 in free else _min_free(free)
-            return _min_free(free)
-        if i1 == 3:
-            if len(own) == 1:
-                if 5 in opp:
-                    return 2 if 2 in free else _min_free(free)
-                return 5 if 5 in free else _min_free(free)
-            return _min_free(free)
-        # opponent opened on 2: answered with 5; finish one per outer pair,
-        # following them into whichever pair they just played
-        pairs = (frozenset({1, 3}), frozenset({4, 6}))
-        lacking = [p for p in pairs if not own & p and free & p]
-        if prompted is not None:
-            for pair in lacking:
-                if prompted in pair:
-                    return _min_free(free & pair)
-        if lacking:
-            return _min_free(free & lacking[0])
-        return _min_free(free)
+                reply = 5 if 4 in opp else 4
+                return reply if reply in free else None
+            return None
+        if len(own) == 1:
+            watched, blocked, reply = self.second[first]
+            reply = blocked if watched in opp else reply
+            return reply if reply in free else None
+        return None
 
 
 class SplitStrategy(Strategy):
@@ -383,12 +361,11 @@ class SplitStrategy(Strategy):
     """
 
     def __init__(self, main: Strategy, branch: Strategy,
-                 main_verts: frozenset[int], branch_verts: frozenset[int],
-                 provenance: str):
+                 main_mask: int, branch_mask: int, provenance: str):
         self.main = main
         self.branch = branch
-        self.main_mask = vertex_mask(main_verts)
-        self.branch_mask = vertex_mask(branch_verts)
+        self.main_mask = main_mask
+        self.branch_mask = branch_mask
         self.provenance = provenance
 
     def state_key(self):
@@ -449,21 +426,10 @@ def _path_policy(ordered: tuple[int, ...]) -> Strategy:
     return SplitStrategy(
         main=_path_policy(prefix),
         branch=Path6Script(suffix),
-        main_verts=frozenset(prefix),
-        branch_verts=frozenset(suffix),
+        main_mask=vertex_mask(prefix),
+        branch_mask=vertex_mask(suffix),
         provenance="split-path",
     )
-
-
-def small_path_strategy(n: int, variant: Variant) -> Strategy:
-    """Scripted optimal zero-player policy for paths of 3 to 6 vertices.
-
-    The script adapts to the observed move order, so the same object is
-    correct under every starter/pass variant."""
-    del variant  # the scripts branch on what they see, not on the label
-    if not 3 <= n <= 6:
-        raise GraphError("scripts cover paths on 3 to 6 vertices")
-    return _path_policy(tuple(range(n)))
 
 
 def path_strategy(n: int) -> Strategy:
@@ -472,34 +438,18 @@ def path_strategy(n: int) -> Strategy:
     Splits off the last six vertices, plays the scripted endgame there, and
     recurses on the prefix, answering the opponent part-for-part.  Against
     any play of the maximizer in the zero-starts game its final discrepancy
-    is within the mod-6 path bound.
+    is within the mod-6 path bound.  For n <= 6 it is a single script, which
+    reads the observed move order and so plays optimally in every variant.
     """
     if n < 3:
         raise GraphError("path strategy needs at least 3 vertices")
     return _path_policy(tuple(range(n)))
 
 
-def _induced_path_order(g: Graph, verts: frozenset[int]) -> tuple[int, ...] | None:
-    degs = {}
-    for v in verts:
-        degs[v] = sum(1 for u in g.neighbors(v) if u in verts)
-    if any(d > 2 for d in degs.values()):
-        return None
-    if len(verts) == 1:
-        return (next(iter(verts)),)
-    ends = sorted(v for v, d in degs.items() if d <= 1)
-    if len(ends) != 2:
-        return None
-    order = [ends[0]]
-    prev = None
-    cur = ends[0]
-    while len(order) < len(verts):
-        nxt = [u for u in g.neighbors(cur) if u in verts and u != prev]
-        if not nxt:
-            return None
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return tuple(order)
+def _induced_path_order(g: Graph, mask: int) -> tuple[int, ...] | None:
+    """The vertices of ``mask`` from its lower path end, or None if not a path."""
+    ends = [v for v in iter_bits(mask) if (g.adj[v] & mask).bit_count() <= 1]
+    return path_walk(g, mask, ends[0]) if ends else None
 
 
 _CASE_SCRIPTS = {
@@ -518,16 +468,16 @@ def branch_script(decomposition: BranchDecomposition) -> Strategy:
     return _CASE_SCRIPTS[decomposition.case_id](decomposition.roles)
 
 
-def _tree_policy(g: Graph, verts: frozenset[int]) -> Strategy:
-    order = _induced_path_order(g, verts)
+def _tree_policy(g: Graph, mask: int) -> Strategy:
+    order = _induced_path_order(g, mask)
     if order is not None:
         return _path_policy(order)
-    decomposition = find_branch_in(g, verts)
+    decomposition = find_branch_in(g, mask)
     return SplitStrategy(
-        main=_tree_policy(g, decomposition.remainder_vertices),
+        main=_tree_policy(g, decomposition.remainder_mask),
         branch=branch_script(decomposition),
-        main_verts=decomposition.remainder_vertices,
-        branch_verts=decomposition.branch_vertices,
+        main_mask=decomposition.remainder_mask,
+        branch_mask=decomposition.branch_mask,
         provenance="split-tree",
     )
 
@@ -540,7 +490,7 @@ def tree_strategy(t: Graph) -> Strategy:
     """
     if not t.is_tree():
         raise NonTreeError("tree strategy needs a tree")
-    return _tree_policy(t, frozenset(range(t.n)))
+    return _tree_policy(t, t.full_mask)
 
 
 class BalancePairStrategy(Strategy):

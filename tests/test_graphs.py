@@ -14,6 +14,7 @@ from cordiality import (
     spider_graph,
     star_graph,
 )
+from cordiality.graphs import component, path_walk, vertex_mask
 
 
 def test_path_graph_shapes():
@@ -47,6 +48,41 @@ def test_random_connected_graph_refuses_probabilities_outside_unit_interval():
                 random_connected_graph(n, p, rng)
     assert random_connected_graph(1, 0.0, rng).n == 1
     assert random_connected_graph(4, 1.0, rng).edge_count == 6
+
+
+def test_random_connected_graph_gives_up_after_capped_draws():
+    # at p = 1e-9 a connected 4-vertex sample is practically unreachable
+    with pytest.raises(GraphError, match="100000 draws"):
+        random_connected_graph(4, 1e-9, random.Random(0))
+
+
+def test_component_stays_inside_the_mask():
+    g = path_graph(6)
+    assert component(g, g.full_mask, 2) == g.full_mask
+    assert component(g, vertex_mask({0, 1, 2, 4, 5}), 1) == vertex_mask({0, 1, 2})
+    assert component(g, vertex_mask({0, 1, 2, 4, 5}), 5) == vertex_mask({4, 5})
+    star = star_graph(5)
+    assert component(star, vertex_mask({1, 2, 3}), 2) == vertex_mask({2})
+    assert path_graph(3).is_connected() and path_graph(1).is_connected()
+    assert not from_edges(4, [(0, 1), (2, 3)]).is_connected()
+
+
+def test_path_walk_orders_from_either_end_or_refuses():
+    g = from_edges(5, [(3, 0), (0, 4), (4, 1), (1, 2)])  # the path 3-0-4-1-2
+    assert path_walk(g, g.full_mask, 3) == (3, 0, 4, 1, 2)
+    assert path_walk(g, g.full_mask, 2) == (2, 1, 4, 0, 3)
+    assert path_walk(g, vertex_mask({0, 4, 1}), 1) == (1, 4, 0)
+    assert path_walk(g, vertex_mask({4}), 4) == (4,)
+    assert path_walk(g, g.full_mask, 4) is None  # not an end
+    assert path_walk(g, vertex_mask({3, 0, 1, 2}), 3) is None  # disconnected
+    assert path_walk(g, vertex_mask({0, 1}), 2) is None  # start outside the mask
+    spider = spider_graph([1, 1, 2])  # center 0 branches
+    assert path_walk(spider, spider.full_mask, 1) is None
+    assert path_walk(spider, vertex_mask({1, 0, 3, 4}), 1) == (1, 0, 3, 4)
+    cycle = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert all(path_walk(cycle, cycle.full_mask, v) is None for v in range(4))
+    chord = from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)])  # 0-1-2-3 plus 1-3
+    assert path_walk(chord, chord.full_mask, 0) is None
 
 
 def test_cut_stats_known_values():

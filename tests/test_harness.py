@@ -19,7 +19,6 @@ from cordiality import (
     new_game,
     path_graph,
     path_strategy,
-    small_path_strategy,
     terminal_value,
     to_move,
     tree_strategy,
@@ -70,7 +69,7 @@ def assert_memo_sound(g, strategy, variant, objective):
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.code)
 def test_memo_sound_small_path_scripts(variant):
     for n in range(3, 7):
-        assert_memo_sound(path_graph(n), small_path_strategy(n, variant), variant,
+        assert_memo_sound(path_graph(n), path_strategy(n), variant,
                           Objective.CORDIALITY)
 
 

@@ -18,7 +18,6 @@ from cordiality import (
     from_edges,
     is_terminal,
     legal_moves,
-    small_path_strategy,
     new_game,
     path_bound,
     path_bound_mod6,
@@ -48,17 +47,17 @@ def test_small_scripts_meet_their_values():
     for n, target in targets.items():
         for variant in ALL_VARIANTS:
             worst = worst_case_vs_optimal(
-                path_graph(n), small_path_strategy(n, variant), variant, Objective.CORDIALITY
+                path_graph(n), path_strategy(n), variant, Objective.CORDIALITY
             )
             assert worst <= target, (n, variant.code, worst)
 
 
 def test_script_openings_and_replies():
-    p3 = small_path_strategy(3, ZERO_STARTS)
+    p3 = path_strategy(3)
     assert p3.choose(new_game(path_graph(3), ZERO_STARTS), None) == Move.label(1)
 
     # 6-path, maximizer opens the second vertex: the reply is the fifth
-    p6 = small_path_strategy(6, ONE_STARTS)
+    p6 = path_strategy(6)
     state = new_game(path_graph(6), ONE_STARTS)
     opening = Move.label(1)
     p6 = p6.after(opening, to_move(state))
@@ -82,7 +81,7 @@ def test_path4_script_secures_one_label_per_class():
             for move in legal_moves(state):
                 explore(apply_move(state, move), strat.after(move, strat.role.opponent), move)
 
-        explore(new_game(path_graph(4), variant), small_path_strategy(4, variant), None)
+        explore(new_game(path_graph(4), variant), path_strategy(4), None)
         return seen
 
     for variant in ALL_VARIANTS:
@@ -139,15 +138,15 @@ def test_find_branch_total_on_enumerated_trees():
                 continue
             d = find_branch(tree)
             assert d.case_id in range(1, 8)
-            assert len(d.branch_vertices) in (2, 4, 6)
-            assert d.attach in d.remainder_vertices
-            assert d.branch_vertices.isdisjoint(d.remainder_vertices)
-            assert d.branch_vertices | d.remainder_vertices == set(range(tree.n))
+            assert d.branch_mask.bit_count() in (2, 4, 6)
+            assert d.remainder_mask >> d.attach & 1
+            assert not d.branch_mask & d.remainder_mask
+            assert d.branch_mask | d.remainder_mask == tree.full_mask
 
 
 def test_arm_components_are_ordered_paths():
     g = spider_graph([2, 3, 1])
-    arms = arm_components(g, frozenset(range(g.n)), 0)
+    arms = arm_components(g, g.full_mask, 0)
     assert sorted(arms.orders) == [1, 2, 3]
     for arm in arms.components:
         assert g.has_edge(0, arm[0])
@@ -300,7 +299,7 @@ def test_strategies_stay_legal_under_random_play():
     fixtures = [
         (path_graph(12), path_strategy(12), ZERO_STARTS),
         (spider_graph([2, 3, 1, 2]), None, ZERO_STARTS),
-        (path_graph(6), small_path_strategy(6, ONE_STARTS_WITH_PASS), ONE_STARTS_WITH_PASS),
+        (path_graph(6), path_strategy(6), ONE_STARTS_WITH_PASS),
     ]
     for g, strategy, variant in fixtures:
         base = strategy or tree_strategy(g)
@@ -348,8 +347,6 @@ def test_after_leaves_the_receiver_unchanged():
 def test_builders_validate_inputs():
     with pytest.raises(Exception):
         path_strategy(2)
-    with pytest.raises(Exception):
-        small_path_strategy(7, ZERO_STARTS)
     with pytest.raises(Exception):
         balance_maximizer_strategy(1)
     with pytest.raises(NonTreeError):
