@@ -197,10 +197,12 @@ def _strategy_record(fixture, g, tag, bound, worst, ok, witness=None):
 
 
 def _verify_small_paths(records, max_n=None) -> bool:
-    """Exact values and scripts on the paths with 3 to 6 vertices; ``max_n`` is unused."""
+    """Exact values and scripts on the paths with 3 to min(6, ``max_n``) vertices."""
     all_ok = True
     expected = {3: 0, 4: 1, 5: 2, 6: 1}
     for n, value in expected.items():
+        if max_n is not None and n > max_n:
+            break
         g = path_graph(n)
         for variant in (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS):
             got = solve(g, variant, Objective.CORDIALITY, line=False).value

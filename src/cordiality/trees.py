@@ -21,6 +21,18 @@ class TreeCode:
     code: str
 
 
+def _rooted_bfs(g: Graph, root: int) -> tuple[dict[int, int], list[int]]:
+    """Each reachable vertex's parent (the root's is -1), and the vertices in BFS order."""
+    parent = {root: -1}
+    order = [root]
+    for v in order:
+        for u in g.neighbors(v):
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    return parent, order
+
+
 def centroids(g: Graph) -> list[int]:
     """Vertices minimizing the largest component left by their removal.
 
@@ -30,13 +42,7 @@ def centroids(g: Graph) -> list[int]:
         raise NonTreeError("centroid is defined for trees only")
     if g.n <= 2:
         return list(range(g.n))
-    parent = {0: -1}
-    order = [0]
-    for v in order:
-        for u in g.neighbors(v):
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
+    parent, order = _rooted_bfs(g, 0)
     size = [1] * g.n
     heaviest = [0] * g.n  # largest child subtree
     for v in reversed(order):
@@ -52,13 +58,7 @@ def centroids(g: Graph) -> list[int]:
 def _rooted_code(g: Graph, root: int) -> str:
     # Iterative post-order; children codes are sorted so the code is
     # invariant under relabeling.
-    parent = {root: -1}
-    order = [root]
-    for v in order:
-        for u in g.neighbors(v):
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
+    parent, order = _rooted_bfs(g, root)
     codes: dict[int, str] = {}
     for v in reversed(order):
         children = sorted(codes[u] for u in g.neighbors(v) if parent.get(u) == v)

@@ -158,6 +158,14 @@ def test_verify_fixtures_pass():
     assert code == 0
 
 
+def test_verify_small_paths_honours_max_n():
+    code, text = run_cli(["verify", "small-paths", "--max-n", "4"])
+    assert code == 0
+    records = jsonl(text)
+    assert len(records) == 12  # per path, a solved value and a script for each of 3 variants
+    assert {r["graph"] for r in records} == {emit_graph6(path_graph(n)) for n in (3, 4)}
+
+
 def test_verify_failure_exits_one_with_witness(monkeypatch):
     # force an unattainable claimed bound so the fixture must fail
     import cordiality.cli as cli_module

@@ -140,6 +140,17 @@ def test_nodes_counter_positive_and_deterministic():
     assert first.nodes == second.nodes
 
 
+def test_balance_node_count_is_pinned():
+    # A regression guard on search work: a change that moves this total
+    # records the before and after counts in CHANGES.md.  The static degree
+    # order expanded 10961 nodes here; swing order from five free vertices
+    # expands 6902.
+    rng = random.Random(2024)
+    graphs = [random_connected_graph(n, 0.4, rng) for n in (8, 9, 10) for _ in range(4)]
+    total = sum(solve(g, ZERO_STARTS, Objective.BALANCE, line=True).nodes for g in graphs)
+    assert total == 6902
+
+
 def test_oracle_rejects_large_instances():
     with pytest.raises(ValueError):
         brute_force_value(path_graph(11), ZERO_STARTS, Objective.CORDIALITY)
@@ -186,15 +197,25 @@ def _moves(g, variant, zero, one, passes):
     return zero_to_move, children
 
 
-def _plain_value(g, variant, objective, zero, one, passes):
-    """Minimax from a position with no memo, no pruning and no closed form."""
+def _plain_value(g, variant, objective, zero, one, passes, memo=None):
+    """Minimax from a position with no pruning, no closed form and no bounds.
+
+    ``memo``, if given, is a dict that caches exact values by position for
+    this graph, variant and objective.
+    """
+    if memo is not None and (zero, one, passes) in memo:
+        return memo[zero, one, passes]
     if not g.full_mask & ~(zero | one):
         cut = sum(1 for u, v in g.edges if (zero >> u ^ zero >> v) & 1)
         d = 2 * cut - g.edge_count
-        return abs(d) if objective is Objective.CORDIALITY else d
-    zero_to_move, children = _moves(g, variant, zero, one, passes)
-    values = [_plain_value(g, variant, objective, *child) for child in children]
-    return min(values) if zero_to_move else max(values)
+        value = abs(d) if objective is Objective.CORDIALITY else d
+    else:
+        zero_to_move, children = _moves(g, variant, zero, one, passes)
+        values = [_plain_value(g, variant, objective, *child, memo) for child in children]
+        value = min(values) if zero_to_move else max(values)
+    if memo is not None:
+        memo[zero, one, passes] = value
+    return value
 
 
 def _reachable_positions(g, variant, free_counts):
@@ -255,9 +276,10 @@ def _reference_line(g, variant, objective):
     position = (0, 0, 0)
     value = None
     line = []
+    memo = {}
     while g.full_mask & ~(position[0] | position[1]):
         zero_to_move, children = _moves(g, variant, *position)
-        values = [_plain_value(g, variant, objective, *child) for child in children]
+        values = [_plain_value(g, variant, objective, *child, memo) for child in children]
         if value is None:  # the root: every later position on the line keeps its value
             value = min(values) if zero_to_move else max(values)
         child = children[values.index(value)]
@@ -273,9 +295,14 @@ def test_principal_line_is_lowest_index_optimal_line():
     rng = random.Random(1618)
     graphs = [tree for n in range(1, 8) for tree in enumerate_trees(n)]
     graphs += [random_connected_graph(n, 0.5, rng) for n in (5, 6, 7, 7)]
-    for g in graphs:
+    both = (Objective.CORDIALITY, Objective.BALANCE)
+    cases = [(g, both) for g in graphs]
+    # dense graphs where balance positions with at least _SWING_MIN_FREE
+    # free vertices search moves in swing order, not index order
+    cases += [(random_connected_graph(8, 0.45, rng), (Objective.BALANCE,)) for _ in range(4)]
+    for g, objectives in cases:
         for variant in ALL_VARIANTS:
-            for objective in (Objective.CORDIALITY, Objective.BALANCE):
+            for objective in objectives:
                 value, line = _reference_line(g, variant, objective)
                 for opts in (SolveOptions(), SolveOptions(table_capacity=0)):
                     result = solve(g, variant, objective, opts)
