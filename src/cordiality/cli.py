@@ -182,18 +182,27 @@ def cmd_table(args, out) -> int:
     return EXIT_OK
 
 
-def _strategy_record(fixture, g, tag, bound, worst, ok, witness=None):
+def _check_strategy(records, fixture, g, strategy, variant, objective, bound, holds,
+                    terminal_check=None) -> bool:
+    """Sweep ``strategy`` on ``g`` and record whether ``holds(worst)``.
+
+    A failing record carries a witness line that realizes the worst case.
+    """
+    worst = worst_case_vs_optimal(g, strategy, variant, objective, terminal_check=terminal_check)
+    ok = holds(worst)
     record = {
         "fixture": fixture,
         "graph": emit_graph6(g),
-        "strategy": tag,
+        "strategy": strategy.provenance,
         "claimed_bound": bound,
         "worst_case": worst,
         "pass": ok,
     }
-    if witness is not None:
+    if not ok:
+        _, witness = worst_case_line(g, strategy, variant, objective)
         record["witness_line"] = [m.to_json() for m in witness]
-    return record
+    records.append(record)
+    return ok
 
 
 def _verify_small_paths(records, max_n=None) -> bool:
@@ -218,16 +227,8 @@ def _verify_small_paths(records, max_n=None) -> bool:
                 }
             )
             all_ok &= ok
-            strategy = path_strategy(n)
-            worst = worst_case_vs_optimal(g, strategy, variant, Objective.CORDIALITY)
-            ok = worst <= value
-            witness = None
-            if not ok:
-                _, witness = worst_case_line(g, strategy, variant, Objective.CORDIALITY)
-            records.append(
-                _strategy_record("small-paths", g, strategy.provenance, value, worst, ok, witness)
-            )
-            all_ok &= ok
+            all_ok &= _check_strategy(records, "small-paths", g, path_strategy(n), variant,
+                                      Objective.CORDIALITY, value, lambda w: w <= value)
     return all_ok
 
 
@@ -248,37 +249,22 @@ def _verify_path_bound(records, max_n) -> bool:
             }
         )
         all_ok &= ok
-        strategy = path_strategy(n)
-        worst = worst_case_vs_optimal(g, strategy, ZERO_STARTS, Objective.CORDIALITY)
-        ok = worst <= bound
-        witness = None
-        if not ok:
-            _, witness = worst_case_line(g, strategy, ZERO_STARTS, Objective.CORDIALITY)
-        records.append(
-            _strategy_record("path-bound", g, strategy.provenance, bound, worst, ok, witness)
-        )
-        all_ok &= ok
+        all_ok &= _check_strategy(records, "path-bound", g, path_strategy(n), ZERO_STARTS,
+                                  Objective.CORDIALITY, bound, lambda w: w <= bound)
     return all_ok
 
 
 def _verify_tree_bound(records, max_n) -> bool:
     all_ok = True
     for n in range(2, max_n + 1):
+        bound = tree_bound(n)
         for g in enumerate_trees(n):
-            bound = tree_bound(n)
             value = solve(g, ZERO_STARTS, Objective.CORDIALITY, line=False).value
-            strategy = tree_strategy(g)
-            worst = worst_case_vs_optimal(g, strategy, ZERO_STARTS, Objective.CORDIALITY)
-            ok = value <= bound and worst <= bound
-            if any(g.degree(v) >= 3 for v in range(g.n)):
-                ok &= find_branch(g).case_id in range(1, 8)
-            witness = None
-            if not ok:
-                _, witness = worst_case_line(g, strategy, ZERO_STARTS, Objective.CORDIALITY)
-            records.append(
-                _strategy_record("tree-bound", g, strategy.provenance, bound, worst, ok, witness)
-            )
-            all_ok &= ok
+            # a tree that is not a path must split by one of the seven branch cases
+            all_ok &= _check_strategy(
+                records, "tree-bound", g, tree_strategy(g), ZERO_STARTS, Objective.CORDIALITY,
+                bound, lambda w: (g.is_path() or find_branch(g).case_id in range(1, 8))
+                and value <= bound and w <= bound)
     return all_ok
 
 
@@ -287,23 +273,15 @@ def _verify_balance_bound(records, max_n) -> bool:
     for n in range(2, max_n + 1):
         g = path_graph(n)
         value = solve(g, ZERO_STARTS, Objective.BALANCE, line=False).value
-        strategy = balance_maximizer_strategy(n)
         a, b = suffix_pair_edge(n)
 
         def suffix_edge_cut(state, a=a, b=b):
             if not (state.zero_mask >> a ^ state.zero_mask >> b) & 1:
                 raise AssertionError("suffix edge not labeled 1")
 
-        worst = worst_case_vs_optimal(g, strategy, ZERO_STARTS, Objective.BALANCE,
-                                      terminal_check=suffix_edge_cut)
-        ok = value >= 0 and worst >= 0
-        witness = None
-        if not ok:
-            _, witness = worst_case_line(g, strategy, ZERO_STARTS, Objective.BALANCE)
-        records.append(
-            _strategy_record("balance-bound", g, strategy.provenance, 0, worst, ok, witness)
-        )
-        all_ok &= ok
+        all_ok &= _check_strategy(records, "balance-bound", g, balance_maximizer_strategy(n),
+                                  ZERO_STARTS, Objective.BALANCE, 0,
+                                  lambda w: value >= 0 and w >= 0, suffix_edge_cut)
     return all_ok
 
 

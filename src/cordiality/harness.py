@@ -64,8 +64,8 @@ def worst_case_vs_optimal(
     terminal_check: Callable[[GameState], None] | None = None,
 ) -> int:
     """Exact extremal value over all adversary plays with the strategy fixed."""
-    value, _ = _sweep(g, strategy, variant, objective, terminal_check, want_line=False)
-    return value
+    value = _sweep(g, strategy, objective, terminal_check)
+    return value(new_game(g, variant), strategy, None)
 
 
 def worst_case_line(
@@ -74,15 +74,37 @@ def worst_case_line(
     variant: Variant,
     objective: Objective,
 ) -> tuple[int, list[Move]]:
-    """Worst value plus one complete move list realizing it."""
-    return _sweep(g, strategy, variant, objective, None, want_line=True)
+    """Worst value plus one complete move list realizing it.
+
+    At each adversary turn the line takes the first legal reply that keeps
+    the position's memoized value.
+    """
+    value = _sweep(g, strategy, objective, None)
+    state = new_game(g, variant)
+    result = value(state, strategy, None)
+    line: list[Move] = []
+    strat = strategy
+    last: Move | None = None
+    while not is_terminal(state):
+        mover = to_move(state)
+        if mover is strat.role:
+            move = strat.choose(state, last)
+        else:
+            target = value(state, strat, last)
+            move = next(m for m in legal_moves(state)
+                        if value(apply_move(state, m), strat.after(m, mover), m) == target)
+        strat = strat.after(move, mover)
+        line.append(move)
+        state = apply_move(state, move)
+        last = move
+    return result, line
 
 
-def _sweep(g, strategy, variant, objective, terminal_check, want_line):
+def _sweep(g, strategy, objective, terminal_check):
+    """The memoized ``value(state, strat, last_move)`` of one sweep."""
     adversary = strategy.role.opponent
     maximizing = adversary is Player.ONE
     memo: dict[tuple, int] = {}
-    argbest: dict[tuple, Move] = {}
 
     def value(state: GameState, strat: Strategy, last_move: Move | None) -> int:
         state, strat = _strategy_step(state, strat, last_move)
@@ -95,36 +117,11 @@ def _sweep(g, strategy, variant, objective, terminal_check, want_line):
         if cached is not None:
             return cached
         best: int | None = None
-        best_move: Move | None = None
         for move in legal_moves(state):
             child = value(apply_move(state, move), strat.after(move, adversary), move)
             if best is None or (child > best if maximizing else child < best):
                 best = child
-                best_move = move
         memo[key] = best
-        if want_line:
-            argbest[key] = best_move
         return best
 
-    start = new_game(g, variant)
-    result = value(start, strategy, None)
-    if not want_line:
-        return result, []
-
-    # replay the adversary's extremal choices to produce a witness line
-    line: list[Move] = []
-    state = start
-    strat = strategy
-    last: Move | None = None
-    while not is_terminal(state):
-        if to_move(state) is strat.role:
-            move = strat.choose(state, last)
-            strat = strat.after(move, strat.role)
-        else:
-            key = (state.zero_mask, state.one_mask, state.passes_used, strat.state_key())
-            move = argbest[key]
-            strat = strat.after(move, adversary)
-        line.append(move)
-        state = apply_move(state, move)
-        last = move
-    return result, line
+    return value

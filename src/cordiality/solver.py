@@ -8,11 +8,12 @@ probe loop narrows an interval by null windows of width two: the first at
 the parity floor |E| % 2, where most values lie, then just below each new
 upper bound or at each new lower bound (MTD(f)-style driving).  The root
 value runs it from the least value to |E|.  The principal-line descent
-carries that value down: at each ply it runs the loop on each child, in
-tie-break order, only until the child is shown to keep the value or to
-miss it.  Options only change how much work is done, never the value.  A
-position with two free vertices, or with three and a mover that cannot
-pass, is valued in closed form: it is never probed, stored or counted, so
+carries that value down: it plays through ``game.py``'s moves, turn order
+and pass rule, and at each ply runs the loop on each child, in tie-break
+order, only until the child is shown to keep the value or to miss it.
+Options only change how much work is done, never the value.  A position
+with two free vertices, or with three and a mover that cannot pass, is
+valued in closed form: it is never probed, stored or counted, so
 ``SolveResult.nodes`` counts only the positions searched through the
 table.  On a path numbered in path order with at least
 ``_REVERSAL_MIN_N`` vertices, a position and its mirror image share one
@@ -47,6 +48,11 @@ from .game import (
     ONE_STARTS,
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
+    apply_move,
+    is_terminal,
+    legal_moves,
+    new_game,
+    to_move,
 )
 from .graphs import Graph
 
@@ -54,7 +60,6 @@ DEFAULT_MAX_N = 22
 DEFAULT_TABLE_CAPACITY = 4_000_000
 
 ENV_TABLE_CAP = "CORDIALITY_TABLE_CAP"
-ENV_MAX_N = "CORDIALITY_MAX_N"
 
 # On a path numbered in path order with at least this many vertices, a key
 # folds with its mirror image.  Measured on a 2 GHz Xeon core, the four game
@@ -102,7 +107,7 @@ class SolveOptions:
     """Search options; none of them affect the returned value."""
 
     table_capacity: int | None = None  # None: CORDIALITY_TABLE_CAP or default
-    max_n: int | None = None  # None: CORDIALITY_MAX_N or default
+    max_n: int | None = None  # None: DEFAULT_MAX_N
 
     def resolved_capacity(self) -> int:
         if self.table_capacity is not None:
@@ -110,15 +115,12 @@ class SolveOptions:
         return _env_int(ENV_TABLE_CAP, DEFAULT_TABLE_CAPACITY)
 
     def resolved_max_n(self) -> int:
-        if self.max_n is not None:
-            return self.max_n
-        return _env_int(ENV_MAX_N, DEFAULT_MAX_N)
+        return DEFAULT_MAX_N if self.max_n is None else self.max_n
 
 
 @dataclass(frozen=True)
 class SolveResult:
     value: int
-    best_move: Move | None
     nodes: int  # positions searched through the table; closed-form endgames are not counted
     principal_line: list[Move]
 
@@ -382,48 +384,29 @@ class _Searcher:
         return self.bounds(zero, one, passes, self.floor, self.edge_count)[0]
 
 
-def _root_moves(g: Graph, searcher: _Searcher, zero: int, one: int, passes: int) -> list[Move]:
-    """Legal moves in ascending-vertex order with any pass last."""
-    free = searcher.full & ~(zero | one)
-    moves = [Move.label(v) for v in range(g.n) if free >> v & 1]
-    plies = zero.bit_count() + one.bit_count() + passes
-    zero_to_move = searcher.starter_is_zero == (plies % 2 == 0)
-    if not zero_to_move and passes < searcher.budget and free & (free - 1):
-        moves.append(Move(None))
-    return moves
-
-
-def _apply(zero: int, one: int, passes: int, move: Move, zero_to_move: bool) -> tuple[int, int, int]:
-    if move.is_pass:
-        return zero, one, passes + 1
-    bit = 1 << move.vertex
-    if zero_to_move:
-        return zero | bit, one, passes
-    return zero, one | bit, passes
-
-
-def _descend_line(g: Graph, searcher: _Searcher, value: int) -> list[Move]:
+def _descend_line(searcher: _Searcher, value: int) -> list[Move]:
     """The lowest-index line along which every position keeps ``value``.
 
-    The mover's children all lie on one side of the value: at or above it
-    when the zero player moves, at or below it when the one player does.  So
-    a child keeps the value iff its value is proven to be neither above nor
-    below it, and the probes stop as soon as either is shown.
+    The game rules order the tries: ``legal_moves`` gives ascending vertices
+    with any pass last.  The mover's children all lie on one side of the
+    value: at or above it when the zero player moves, at or below it when
+    the one player does.  So a child keeps the value iff its value is proven
+    to be neither above nor below it, and the probes stop as soon as either
+    is shown.
     """
-    zero = one = passes = 0
+    state = new_game(searcher.g, searcher.variant)
     line: list[Move] = []
-    while searcher.full & ~(zero | one):
-        plies = zero.bit_count() + one.bit_count() + passes
-        zero_to_move = searcher.starter_is_zero == (plies % 2 == 0)
-        if zero_to_move:
+    while not is_terminal(state):
+        if to_move(state) is Player.ZERO:
             lo, hi = value, searcher.edge_count
         else:
             lo, hi = searcher.floor, value
-        for move in _root_moves(g, searcher, zero, one, passes):
-            nxt = _apply(zero, one, passes, move, zero_to_move)
-            if searcher.bounds(*nxt, lo, hi, target=value) == (value, value):
+        for move in legal_moves(state):
+            child = apply_move(state, move)
+            if searcher.bounds(child.zero_mask, child.one_mask, child.passes_used,
+                               lo, hi, target=value) == (value, value):
                 line.append(move)
-                zero, one, passes = nxt
+                state = child
                 break
         else:  # pragma: no cover - would indicate a search bug
             raise RuntimeError("no move preserves the solved value")
@@ -437,19 +420,18 @@ def solve(
     opts: SolveOptions | None = None,
     line: bool = True,
 ) -> SolveResult:
-    """Exact game value, a best first move, and a principal line.
+    """Exact game value and a principal line.
 
     Ties among optimal moves break toward the lowest vertex index, with a
     pass ranked after every label.  With ``line=False`` only the value is
-    searched: the principal-line descent is skipped, and the result has no
-    best move and an empty line.
+    searched: the principal-line descent is skipped, and the line is empty.
     """
     opts = opts or SolveOptions()
     cap = opts.resolved_max_n()
     if g.n > cap:
         raise SolverCapError(
             f"graph has {g.n} vertices, above the hard cap {cap}; "
-            f"raise max_n or {ENV_MAX_N} to override"
+            "raise SolveOptions.max_n (--force on the command line) to override"
         )
     if g.edge_count > _BIAS - 1:
         # past this, a real bound can collide with the table's +-(_BIAS - 1)
@@ -459,15 +441,10 @@ def solve(
         )
     searcher = _Searcher(g, variant, objective, opts)
     if g.n == 0:
-        return SolveResult(value=0, best_move=None, nodes=0, principal_line=[])
+        return SolveResult(value=0, nodes=0, principal_line=[])
     value = searcher.state_value(0, 0, 0)
-    moves = _descend_line(g, searcher, value) if line else []
-    return SolveResult(
-        value=value,
-        best_move=moves[0] if moves else None,
-        nodes=searcher.nodes,
-        principal_line=moves,
-    )
+    moves = _descend_line(searcher, value) if line else []
+    return SolveResult(value=value, nodes=searcher.nodes, principal_line=moves)
 
 
 GAME_NUMBERS = {

@@ -91,11 +91,7 @@ def test_c03_p6_bad_set_enumeration():
 
 def test_c04_path_bounds_to_16(solved):
     for n in range(3, 17):
-        g = path_graph(n)
-        if n <= 14:
-            value = solved(g, "cg")
-        else:  # the solver folds path reversal from 15 vertices on
-            value = solve(g, ZERO_STARTS, Objective.CORDIALITY).value
+        value = solved(path_graph(n), "cg")
         assert value <= path_bound(n), (n, value)
         assert value <= path_bound_mod6(n), (n, value)
     verdict("solved path values within mod-3 and mod-6 bounds for 3 <= n <= 16")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -30,13 +31,6 @@ def test_solve_balance_trivial():
     code, text = run_cli(["solve", "--graph", "path:2", "--variant", "A", "--objective", "balance"])
     assert code == 0
     assert jsonl(text)[0]["value"] == 1
-
-
-def test_solve_symmetry_flag():
-    # the solver picks path reversal from the graph; there is no flag for it
-    with pytest.raises(SystemExit) as info:
-        run_cli(["solve", "--graph", "path:8", "--symmetry", "path-reversal"])
-    assert info.value.code == 2
 
 
 def test_solve_graph6_file_batch(tmp_path):
@@ -103,12 +97,21 @@ def test_solve_jobs_caps_workers_at_graph_count(tmp_path, monkeypatch):
     assert pooled == sequential
 
 
-def test_removed_flags_are_input_errors():
-    for argv in (["solve", "--graph", "path:4", "--parallel"],
-                 ["mb", "--graph", "path:4", "--jobs", "2"]):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(argv)
-        assert exc.value.code == 2
+REMOVED_FLAGS = {
+    "parallel": ["solve", "--graph", "path:4", "--parallel"],
+    "mb-jobs": ["mb", "--graph", "path:4", "--jobs", "2"],
+    # the solver picks path reversal from the graph; there is no flag for it
+    "symmetry": ["solve", "--graph", "path:8", "--symmetry", "path-reversal"],
+    # alpha-beta is always on; there is no flag to turn it off
+    "no-alpha-beta": ["solve", "--graph", "path:4", "--no-alpha-beta"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOVED_FLAGS))
+def test_removed_flags_are_input_errors(case):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(REMOVED_FLAGS[case])
+    assert exc.value.code == 2
 
 
 def test_bad_generator_spec_is_input_error():
@@ -124,7 +127,9 @@ def test_malformed_graph6_file_is_input_error(tmp_path):
 
 
 def test_cap_refusal_and_force(monkeypatch):
-    monkeypatch.setenv("CORDIALITY_MAX_N", "5")
+    import cordiality.solver
+
+    monkeypatch.setattr(cordiality.solver, "DEFAULT_MAX_N", 5)
     code, _ = run_cli(["solve", "--graph", "path:6"])
     assert code == 3
     code, text = run_cli(["solve", "--graph", "path:6", "--force"])
@@ -172,12 +177,27 @@ def test_verify_failure_exits_one_with_witness(monkeypatch):
 
     monkeypatch.setattr(cli_module, "path_bound", lambda n: -1)
     monkeypatch.setattr(cli_module, "path_bound_mod6", lambda n: -1)
-    code, text = run_cli(["verify", "path-bound", "--max-n", "4"])
+    code, text = run_cli(["verify", "path-bound", "--max-n", "6"])
     assert code == 1
     records = jsonl(text)
     assert any(not record["pass"] for record in records)
-    witnesses = [r for r in records if "witness_line" in r]
-    assert witnesses and all(len(w["witness_line"]) > 0 for w in witnesses)
+    witnesses = {r["graph"]: r["witness_line"] for r in records if "witness_line" in r}
+    assert witnesses == {
+        emit_graph6(path_graph(3)): [1, 0, 2],
+        emit_graph6(path_graph(4)): [0, 1, 3, 2],
+        emit_graph6(path_graph(5)): [0, 1, 3, 4, 2],
+        emit_graph6(path_graph(6)): [0, 1, 4, 2, 3, 5],
+    }
+
+
+def test_verify_output_is_pinned():
+    # A golden digest of ``verify all --max-n 8`` (170 records).  A change
+    # that alters this output on purpose updates the digest and says why in
+    # CHANGES.md.
+    out = io.StringIO()
+    assert main(["verify", "all", "--max-n", "8"], out=out) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "677a71c22d17fe2cdedfa0442c90c3378e992d90a280e5524e46533c494f6d41"
 
 
 def test_probe_balance_deterministic_and_nonnegative():
@@ -227,13 +247,6 @@ def test_force_refuses_graph_past_table_entry_range(tmp_path, monkeypatch):
     code, text = run_cli(["solve", "--force", "--edge-list", "--file", str(path)])
     assert code == 3
     assert text == ""
-
-
-def test_solve_no_alpha_beta_flag_is_gone():
-    # alpha-beta is always on; there is no flag to turn it off
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["solve", "--graph", "path:4", "--no-alpha-beta"])
-    assert exc.value.code == 2
 
 
 def test_counts_and_orders_below_one_are_refused():

@@ -121,9 +121,8 @@ def test_principal_line_tiebreak_prefers_low_labels():
 def test_hard_cap_refusal_and_env(monkeypatch):
     with pytest.raises(SolverCapError):
         solve(path_graph(23), ZERO_STARTS, Objective.CORDIALITY)
-    monkeypatch.setenv("CORDIALITY_MAX_N", "4")
     with pytest.raises(SolverCapError):
-        solve(path_graph(5), ZERO_STARTS, Objective.CORDIALITY)
+        solve(path_graph(5), ZERO_STARTS, Objective.CORDIALITY, SolveOptions(max_n=4))
     assert solve(path_graph(5), ZERO_STARTS, Objective.CORDIALITY, SolveOptions(max_n=6)).value == 2
     monkeypatch.setenv("CORDIALITY_TABLE_CAP", "1")
     with warnings.catch_warnings(record=True) as caught:

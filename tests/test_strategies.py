@@ -25,6 +25,7 @@ from cordiality import (
     path_strategy,
     spider_graph,
     suffix_pair_edge,
+    terminal_value,
     to_move,
     tree_bound,
     tree_strategy,
@@ -284,14 +285,22 @@ def test_worst_case_never_beats_the_optimum(solved):
 
 
 def test_worst_case_line_is_a_legal_witness():
-    g = path_graph(9)
-    strategy = path_strategy(9)
-    value, line = worst_case_line(g, strategy, ZERO_STARTS, Objective.CORDIALITY)
-    state = new_game(g, ZERO_STARTS)
-    for move in line:
-        assert move in legal_moves(state)
-        state = apply_move(state, move)
-    assert is_terminal(state)
+    # each line is legal, ends at a terminal scoring the returned value, and
+    # that value is the sweep's worst case
+    cases = [(path_graph(9), path_strategy(9), ZERO_STARTS, Objective.CORDIALITY),
+             (path_graph(8), balance_maximizer_strategy(8), ZERO_STARTS, Objective.BALANCE),
+             (path_graph(5), path_strategy(5), ONE_STARTS_WITH_PASS, Objective.CORDIALITY)]
+    cases += [(t, tree_strategy(t), ZERO_STARTS, Objective.CORDIALITY) for t in enumerate_trees(8)]
+    assert len(cases) == 3 + 23
+    for g, strategy, variant, objective in cases:
+        value, line = worst_case_line(g, strategy, variant, objective)
+        state = new_game(g, variant)
+        for move in line:
+            assert move in legal_moves(state)
+            state = apply_move(state, move)
+        assert is_terminal(state)
+        assert terminal_value(state, g, objective) == value
+        assert value == worst_case_vs_optimal(g, strategy, variant, objective)
 
 
 def test_strategies_stay_legal_under_random_play():
