@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import Graph, cut_size_of_mask, iter_bits
 
@@ -82,6 +82,11 @@ class Move:
 
     @classmethod
     def label(cls, v: int) -> "Move":
+        """The move labelling ``v``: one shared instance per vertex below
+        ``_SHARED_LABELS``, a fresh one otherwise (out-of-range vertices
+        included, which ``is_legal`` then rejects)."""
+        if isinstance(v, int) and 0 <= v < _SHARED_LABELS:
+            return _LABELS[v]
         return cls(v)
 
     def to_json(self) -> int | str:
@@ -93,17 +98,23 @@ class Move:
 
 PASS = Move(None)
 
+# every graph the solver accepts without --force fits; label moves are
+# built once here, since the harness and the descent make them by the thousand
+_SHARED_LABELS = 64
+_LABELS = tuple(Move(v) for v in range(_SHARED_LABELS))
+
 
 class IllegalMoveError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     """Immutable position: who has labeled what, and passes spent.
 
     ``zero_mask`` and ``one_mask`` are disjoint vertex bitmasks of the
-    0-labeled and 1-labeled vertices.
+    0-labeled and 1-labeled vertices.  A named tuple rather than a frozen
+    dataclass: the strategy sweep builds one per move, and a tuple is
+    built without a ``__setattr__`` call per field.
     """
 
     n: int
@@ -121,11 +132,17 @@ def is_terminal(state: GameState) -> bool:
     return (state.zero_mask | state.one_mask).bit_count() == state.n
 
 
+# the members as plain names: ``Player.ONE`` is an enum class lookup,
+# several times slower than a global, and the turn rule runs once per move
+_ZERO, _ONE = Player.ZERO, Player.ONE
+
+
 def _mover(state: GameState, labeled: int) -> Player:
+    """The turn rule: the player to move once ``labeled`` vertices carry labels."""
     starter = state.variant.starter
     if (labeled + state.passes_used) % 2 == 0:
         return starter
-    return Player.ONE if starter is Player.ZERO else Player.ZERO
+    return _ONE if starter is _ZERO else _ZERO
 
 
 def to_move(state: GameState) -> Player:
@@ -135,7 +152,7 @@ def to_move(state: GameState) -> Player:
 def _may_pass(state: GameState, labeled: int) -> bool:
     """The pass rule, for a position that is not terminal."""
     return (
-        _mover(state, labeled) is Player.ONE
+        _mover(state, labeled) is _ONE
         and state.passes_used < state.variant.pass_budget
         and state.n - labeled >= 2
     )
@@ -146,7 +163,7 @@ def legal_moves(state: GameState) -> list[Move]:
     labeled = occupied.bit_count()
     if labeled == state.n:
         return []
-    moves = [Move(v) for v in iter_bits(((1 << state.n) - 1) & ~occupied)]
+    moves = [Move.label(v) for v in iter_bits(((1 << state.n) - 1) & ~occupied)]
     if _may_pass(state, labeled):
         moves.append(PASS)
     return moves
@@ -165,29 +182,29 @@ def is_legal(state: GameState, move: Move) -> bool:
 
 
 def apply_move(state: GameState, move: Move) -> GameState:
-    zero, one = state.zero_mask, state.one_mask
+    n, variant, zero, one, passes = state
     occupied = zero | one
     labeled = occupied.bit_count()
-    if labeled == state.n:
+    if labeled == n:
         raise IllegalMoveError("game is over")
     mover = _mover(state, labeled)
     v = move.vertex
     if v is None:
-        if mover is not Player.ONE:
+        if mover is not _ONE:
             raise IllegalMoveError("only the one player may pass")
-        if state.passes_used >= state.variant.pass_budget:
+        if passes >= variant.pass_budget:
             raise IllegalMoveError("no pass budget remaining")
-        if state.n - labeled < 2:
+        if n - labeled < 2:
             raise IllegalMoveError("passing requires at least two unlabeled vertices")
-        return GameState(state.n, state.variant, zero, one, state.passes_used + 1)
-    if not (isinstance(v, int) and 0 <= v < state.n):
+        return GameState(n, variant, zero, one, passes + 1)
+    if not (isinstance(v, int) and 0 <= v < n):
         raise IllegalMoveError(f"vertex {v!r} is out of range")
     if occupied >> v & 1:
         raise IllegalMoveError(f"vertex {v} is already labeled")
     bit = 1 << v
-    if mover is Player.ZERO:
-        return GameState(state.n, state.variant, zero | bit, one, state.passes_used)
-    return GameState(state.n, state.variant, zero, one | bit, state.passes_used)
+    if mover is _ZERO:
+        return GameState(n, variant, zero | bit, one, passes)
+    return GameState(n, variant, zero, one | bit, passes)
 
 
 def edge_counts(state: GameState, g: Graph) -> tuple[int, int]:

@@ -5,9 +5,17 @@ legal reply of the other side, so the result is the exact worst value the
 strategy can be held to (the adversary maximizes against a zero-player
 strategy and minimizes against a one-player strategy).  Positions are
 memoized together with the strategy's internal state key, which makes the
-search collapse across move-order interleavings.  An optional terminal
-check runs on every reachable final position, so per-playout structural
-claims can be verified in the same sweep.
+search collapse across move-order interleavings.  Each position's
+labelled vertices are counted once, and the mover comes from
+``game._mover``, the one copy of the turn rule.  A strategy move must pass
+``is_legal`` or the sweep raises ``StrategyMoveError``.
+
+An optional terminal check is a predicate on every reachable final
+position, so per-playout structural claims are verified in the same sweep.
+A terminal that fails it scores one past every real score in the
+adversary's favour (``|E| + 1`` against a zero-player strategy,
+``-|E| - 1`` against a one-player strategy), so the worst case exposes it
+and ``worst_case_line``, given the same predicate, leads to it.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .game import (
     Objective,
     Player,
     Variant,
+    _mover,
     apply_move,
     is_legal,
     is_terminal,
@@ -41,29 +50,19 @@ class StrategyMoveError(RuntimeError):
         self.move = move
 
 
-def _strategy_step(state: GameState, strat: Strategy, last_move: Move | None):
-    """Apply the strategy's forced moves until the adversary's turn.
-
-    Returns the position reached and the strategy as it stands there.
-    """
-    while not is_terminal(state) and to_move(state) is strat.role:
-        move = strat.choose(state, last_move)
-        if not is_legal(state, move):
-            raise StrategyMoveError(state, move, "not among the legal moves")
-        strat = strat.after(move, strat.role)
-        state = apply_move(state, move)
-        last_move = move
-    return state, strat
-
-
 def worst_case_vs_optimal(
     g: Graph,
     strategy: Strategy,
     variant: Variant,
     objective: Objective,
-    terminal_check: Callable[[GameState], None] | None = None,
+    terminal_check: Callable[[GameState], bool] | None = None,
 ) -> int:
-    """Exact extremal value over all adversary plays with the strategy fixed."""
+    """Exact extremal value over all adversary plays with the strategy fixed.
+
+    A reachable terminal on which ``terminal_check`` is false scores one
+    past the worst real score, ``|E| + 1`` against a zero-player strategy
+    and ``-|E| - 1`` against a one-player strategy.
+    """
     value = _sweep(g, strategy, objective, terminal_check)
     return value(new_game(g, variant), strategy, None)
 
@@ -73,13 +72,15 @@ def worst_case_line(
     strategy: Strategy,
     variant: Variant,
     objective: Objective,
+    terminal_check: Callable[[GameState], bool] | None = None,
 ) -> tuple[int, list[Move]]:
     """Worst value plus one complete move list realizing it.
 
     At each adversary turn the line takes the first legal reply that keeps
-    the position's memoized value.
+    the position's memoized value.  Under a ``terminal_check`` that fails
+    somewhere, the line ends on a failing terminal.
     """
-    value = _sweep(g, strategy, objective, None)
+    value = _sweep(g, strategy, objective, terminal_check)
     state = new_game(g, variant)
     result = value(state, strategy, None)
     line: list[Move] = []
@@ -102,16 +103,29 @@ def worst_case_line(
 
 def _sweep(g, strategy, objective, terminal_check):
     """The memoized ``value(state, strat, last_move)`` of one sweep."""
-    adversary = strategy.role.opponent
+    role = strategy.role
+    adversary = role.opponent
     maximizing = adversary is Player.ONE
+    failed = g.edge_count + 1 if maximizing else -g.edge_count - 1
+    n = g.n
     memo: dict[tuple, int] = {}
 
     def value(state: GameState, strat: Strategy, last_move: Move | None) -> int:
-        state, strat = _strategy_step(state, strat, last_move)
-        if is_terminal(state):
-            if terminal_check is not None:
-                terminal_check(state)
-            return terminal_value(state, g, objective)
+        # the strategy's moves, up to the adversary's turn or the end
+        while True:
+            labeled = (state.zero_mask | state.one_mask).bit_count()
+            if labeled == n:
+                if terminal_check is not None and not terminal_check(state):
+                    return failed
+                return terminal_value(state, g, objective)
+            if _mover(state, labeled) is not role:
+                break
+            move = strat.choose(state, last_move)
+            if not is_legal(state, move):
+                raise StrategyMoveError(state, move, "not among the legal moves")
+            strat = strat.after(move, role)
+            state = apply_move(state, move)
+            last_move = move
         key = (state.zero_mask, state.one_mask, state.passes_used, strat.state_key())
         cached = memo.get(key)
         if cached is not None:

@@ -190,6 +190,19 @@ def test_verify_failure_exits_one_with_witness(monkeypatch):
     }
 
 
+def test_verify_failed_terminal_check_exits_one_with_witness(monkeypatch):
+    # the pair (0, 0) is never cut, so every terminal fails the suffix check
+    monkeypatch.setattr(cli, "suffix_pair_edge", lambda n: (0, 0))
+    code, text = run_cli(["verify", "balance-bound", "--max-n", "4"])
+    assert code == 1
+    records = jsonl(text)
+    assert [r["graph"] for r in records] == [emit_graph6(path_graph(n)) for n in (2, 3, 4)]
+    for n, record in zip((2, 3, 4), records):
+        assert not record["pass"]
+        assert record["worst_case"] == -n  # -|E| - 1 on the n-path
+        assert sorted(record["witness_line"]) == list(range(n))
+
+
 def test_verify_output_is_pinned():
     # A golden digest of ``verify all --max-n 8`` (170 records).  A change
     # that alters this output on purpose updates the digest and says why in

@@ -75,6 +75,23 @@ def test_apply_move_validation():
         apply_move(state, Move.label(7))
 
 
+def test_label_moves_are_shared_and_states_frozen():
+    assert Move.label(5) is Move.label(5)
+    moves = legal_moves(new_game(path_graph(6), ZERO_STARTS))
+    assert all(move is Move.label(move.vertex) for move in moves)
+    # past the shared range, and out of range, label moves are built fresh
+    wide = legal_moves(new_game(path_graph(70), ZERO_STARTS))
+    assert [move.vertex for move in wide] == list(range(70))
+    state = new_game(path_graph(3), ZERO_STARTS)
+    for v in (-1, 10**6):
+        move = Move.label(v)
+        assert move.vertex == v and not is_legal(state, move)
+        with pytest.raises(IllegalMoveError):
+            apply_move(state, move)
+    with pytest.raises(AttributeError):
+        state.zero_mask = 1
+
+
 def test_terminal_values():
     state = replay(
         path_graph(6),

@@ -22,6 +22,7 @@ from cordiality import (
     terminal_value,
     to_move,
     tree_strategy,
+    worst_case_line,
     worst_case_vs_optimal,
 )
 from cordiality.strategies import Strategy
@@ -30,20 +31,26 @@ ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
 PASS_FREE = (ZERO_STARTS, ONE_STARTS)
 
 
-def reference_worst(g, strategy, variant, objective):
+def reference_worst(g, strategy, variant, objective, terminal_check=None):
     """Plain recursion over every adversary reply, with no memo.
 
     The harness memoizes adversary-to-move positions under the key
     (zero_mask, one_mask, passes_used, strategy.state_key()).  This walks
     the whole playout tree instead and checks that trust directly: every
     position reached under one key must have the same subtree value, or a
-    memo hit could return the value of another history.
+    memo hit could return the value of another history.  A terminal that
+    fails ``terminal_check`` scores |E| + 1 for a maximizing adversary and
+    -|E| - 1 for a minimizing one.
     """
-    pick = max if strategy.role.opponent is Player.ONE else min
+    maximizing = strategy.role.opponent is Player.ONE
+    pick = max if maximizing else min
+    failed = g.edge_count + 1 if maximizing else -g.edge_count - 1
     by_key = {}
 
     def value(state, strat, last):
         if is_terminal(state):
+            if terminal_check is not None and not terminal_check(state):
+                return failed
             return terminal_value(state, g, objective)
         mover = to_move(state)
         if mover is strat.role:
@@ -61,9 +68,10 @@ def reference_worst(g, strategy, variant, objective):
     return value(new_game(g, variant), strategy, None)
 
 
-def assert_memo_sound(g, strategy, variant, objective):
-    expected = reference_worst(g, strategy, variant, objective)
-    assert worst_case_vs_optimal(g, strategy, variant, objective) == expected
+def assert_memo_sound(g, strategy, variant, objective, terminal_check=None):
+    expected = reference_worst(g, strategy, variant, objective, terminal_check)
+    got = worst_case_vs_optimal(g, strategy, variant, objective, terminal_check=terminal_check)
+    assert got == expected
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.code)
@@ -94,6 +102,27 @@ def test_memo_sound_balance_strategy():
     for n in range(2, 9):
         assert_memo_sound(path_graph(n), balance_maximizer_strategy(n), ZERO_STARTS,
                           Objective.BALANCE)
+
+
+def test_failing_terminal_check_scores_past_every_score():
+    # the balance strategy on P6 keeps its pair edges (0, 1), (2, 3) and
+    # (4, 5) cut; edge (1, 2) is the adversary's to leave uncut
+    g = path_graph(6)
+    strategy = balance_maximizer_strategy(6)
+
+    def edge_12_cut(state):
+        return bool((state.zero_mask >> 1 ^ state.zero_mask >> 2) & 1)
+
+    expected = reference_worst(g, strategy, ZERO_STARTS, Objective.BALANCE, edge_12_cut)
+    assert expected == -g.edge_count - 1
+    assert_memo_sound(g, strategy, ZERO_STARTS, Objective.BALANCE, edge_12_cut)
+    value, line = worst_case_line(g, strategy, ZERO_STARTS, Objective.BALANCE, edge_12_cut)
+    assert value == expected
+    state = new_game(g, ZERO_STARTS)
+    for move in line:
+        assert move in legal_moves(state)
+        state = apply_move(state, move)
+    assert is_terminal(state) and not edge_12_cut(state)
 
 
 # -- the legality check on strategy moves -------------------------------------

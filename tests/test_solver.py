@@ -259,8 +259,9 @@ def test_endgame_closed_form_matches_plain_recursion():
                     one_may_pass_at_three += 1
             for objective in (Objective.CORDIALITY, Objective.BALANCE):
                 searcher = _Searcher(g, variant, objective, SolveOptions())
+                memo = {}
                 for zero, one, passes in positions:
-                    value = _plain_value(g, variant, objective, zero, one, passes)
+                    value = _plain_value(g, variant, objective, zero, one, passes, memo)
                     assert searcher.state_value(zero, one, passes) == value, (
                         g.edges, variant.code, objective.value, zero, one, passes
                     )
