@@ -43,7 +43,7 @@ from .makerbreaker import (
     parse_hypergraph,
     winning_family,
 )
-from .oracle import brute_force_value
+from .oracle import brute_force_value, position_values
 from .solver import (
     SolveOptions,
     SolveResult,

@@ -9,7 +9,8 @@ Subcommands
     trees          list unlabeled trees of a given order as graph6
 
 Exit codes: 0 success / all pass, 1 verification failure, 2 input error,
-3 resource refusal (graph above the hard cap without --force).
+3 resource refusal (graph above the solver's hard cap without --force, or
+above a Maker-Breaker cap).
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
         return
     if not records:
         return
-    fields = list(records[0].keys())
+    # records of different fixtures carry different keys
+    fields = list(dict.fromkeys(key for record in records for key in record))
     if fmt == "csv":
         writer = csv.DictWriter(out, fieldnames=fields)
         writer.writeheader()

@@ -7,9 +7,10 @@ signed 2*cut - |E| <= k under balance).  Maker moves as the zero player
 and wins if the set he has claimed at the end lies in the family; Breaker
 moves as the one player and tries to prevent that.
 
-This solver shares no code with the minimax solver; agreement between
-``maker_breaker_value`` and ``game_number`` is checked by tests rather
-than assumed.
+This solver shares no search code with the minimax solver (only its cap
+exception, so a refusal exits the CLI like a solver refusal); agreement
+between ``maker_breaker_value`` and ``game_number`` is checked by tests
+rather than assumed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 from .game import Objective, Player, Variant
 from .graphs import Graph, cut_size_of_mask, iter_bits
+from .solver import SolverCapError
 
 FAMILY_MAX_N = 20
 MB_MAX_N = 14
@@ -46,7 +48,7 @@ class SetFamily:
 def winning_family(g: Graph, k: int, objective: Objective) -> SetFamily:
     """All balanced-bipartition parts with discrepancy at most k."""
     if g.n > FAMILY_MAX_N:
-        raise ValueError(f"family enumeration is capped at n = {FAMILY_MAX_N}")
+        raise SolverCapError(f"family enumeration is capped at n = {FAMILY_MAX_N}")
     n = g.n
     e = g.edge_count
     lo_size = n // 2
@@ -126,7 +128,7 @@ def maker_breaker_value(
     differ only on odd orders).
     """
     if g.n > MB_MAX_N:
-        raise ValueError(f"maker-breaker solving is capped at n = {MB_MAX_N}")
+        raise SolverCapError(f"maker-breaker solving is capped at n = {MB_MAX_N}")
     if g.n == 0:
         return 0
     e = g.edge_count

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 from itertools import combinations
-from multiprocessing import Pool
 
 import pytest
 
@@ -37,6 +36,7 @@ from cordiality import (
     tree_strategy,
     worst_case_vs_optimal,
 )
+from cordiality.oracle import ORACLE_MAX_N
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
 GAME_NUMBER_COMBOS = (
@@ -190,32 +190,14 @@ def test_c11_maker_breaker_equivalence(solved):
     verdict("maker-breaker value equals game value for paths to 12 and all trees to 8")
 
 
-def _oracle_task(payload):
-    from cordiality import VARIANT_CODES, from_edges
-
-    n, edges, variant_code, objective_value = payload
-    g = from_edges(n, list(edges))
-    variant = VARIANT_CODES[variant_code]
-    objective = Objective(objective_value)
-    return (
-        payload,
-        brute_force_value(g, variant, objective),
-        solve(g, variant, objective).value,
-    )
-
-
 def test_c12_oracle_equivalence_and_option_independence(full_corpus, monkeypatch):
-    subjects = [g for g in full_corpus if g.n <= 8]
-    tasks = [
-        (g.n, g.edges, variant.code, objective.value)
-        for g in subjects
-        for variant in ALL_VARIANTS
-        for objective in (Objective.CORDIALITY, Objective.BALANCE)
-    ]
-    with Pool(processes=2) as pool:
-        results = pool.map(_oracle_task, tasks, chunksize=16)
-    for payload, reference, solved_value in results:
-        assert reference == solved_value, payload
+    subjects = [g for g in full_corpus if g.n <= ORACLE_MAX_N]
+    for g in subjects:
+        for variant in ALL_VARIANTS:
+            for objective in (Objective.CORDIALITY, Objective.BALANCE):
+                assert solve(g, variant, objective).value == brute_force_value(
+                    g, variant, objective
+                ), (g.edges, variant.code, objective.value)
 
     option_grid = [
         SolveOptions(),

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -246,6 +247,33 @@ def test_table_format_table():
     code, text = run_cli(["table", "--min-n", "3", "--max-n", "4", "--format", "table"])
     assert code == 0
     assert text.splitlines()[0].startswith("n")
+
+
+def test_verify_csv_and_table_carry_every_fixtures_columns():
+    code, text = run_cli(["verify", "all", "--format", "csv", "--max-n", "4"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert {"strategy", "worst_case", "claimed_bound", "mb_value"} <= set(rows[0])
+    _, as_json = run_cli(["verify", "all", "--max-n", "4"])
+    assert len(rows) == len(jsonl(as_json))
+    code, text = run_cli(["verify", "path-bound", "--format", "table", "--max-n", "4"])
+    assert code == 0
+    assert "worst_case" in text.splitlines()[0].split()
+
+
+def test_maker_breaker_caps_are_refusals(monkeypatch, capsys):
+    for args in (["mb", "--graph", "path:15"], ["mb", "--graph", "path:21", "--family-k", "3"]):
+        code, _ = run_cli(args)
+        assert code == 3
+        assert "refused" in capsys.readouterr().err
+    # mb-equiv meets the cap only after solving every shorter path, so a
+    # lower cap keeps the run short
+    import cordiality.makerbreaker
+
+    monkeypatch.setattr(cordiality.makerbreaker, "MB_MAX_N", 4)
+    code, _ = run_cli(["verify", "mb-equiv", "--max-n", "5"])
+    assert code == 3
+    assert "refused" in capsys.readouterr().err
 
 
 def test_force_refuses_graph_past_table_entry_range(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 import cordiality.solver
 from cordiality import (
+    PASS,
     Move,
     Objective,
     SolveOptions,
@@ -12,18 +13,22 @@ from cordiality import (
     ONE_STARTS,
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
+    apply_move,
     brute_force_value,
     enumerate_trees,
     from_edges,
     game_number,
+    is_terminal,
+    legal_moves,
     new_game,
     path_graph,
+    position_values,
     random_connected_graph,
     solve,
     star_graph,
     terminal_value,
 )
-from cordiality.game import Player, replay
+from cordiality.game import replay
 from cordiality.solver import _Searcher
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
@@ -150,6 +155,18 @@ def test_balance_node_count_is_pinned():
     assert total == 6902
 
 
+def test_oracle_equals_solver_on_small_paths_and_trees():
+    # The oracle's memo is keyed by the exact position: a key without the
+    # pass count already misvalues P4 in I+pass under both objectives.
+    graphs = [path_graph(n) for n in range(2, 8)] + enumerate_trees(6)
+    for g in graphs:
+        for variant in ALL_VARIANTS:
+            for objective in (Objective.CORDIALITY, Objective.BALANCE):
+                assert brute_force_value(g, variant, objective) == solve(
+                    g, variant, objective, line=False
+                ).value, (g.edges, variant.code, objective.value)
+
+
 def test_oracle_rejects_large_instances():
     with pytest.raises(ValueError):
         brute_force_value(path_graph(11), ZERO_STARTS, Objective.CORDIALITY)
@@ -181,56 +198,21 @@ def test_edge_cap_matches_table_entry_range(monkeypatch):
         solve(from_edges(33, clique[:512]), ZERO_STARTS, Objective.CORDIALITY, opts)
 
 
-def _moves(g, variant, zero, one, passes):
-    """Whether the zero player moves, and every position one move on."""
-    free = g.full_mask & ~(zero | one)
-    plies = zero.bit_count() + one.bit_count() + passes
-    zero_to_move = (variant.starter is Player.ZERO) == (plies % 2 == 0)
-    children = [
-        (zero | 1 << v, one, passes) if zero_to_move else (zero, one | 1 << v, passes)
-        for v in range(g.n)
-        if free >> v & 1
-    ]
-    if not zero_to_move and passes < variant.pass_budget and free.bit_count() >= 2:
-        children.append((zero, one, passes + 1))
-    return zero_to_move, children
-
-
-def _plain_value(g, variant, objective, zero, one, passes, memo=None):
-    """Minimax from a position with no pruning, no closed form and no bounds.
-
-    ``memo``, if given, is a dict that caches exact values by position for
-    this graph, variant and objective.
-    """
-    if memo is not None and (zero, one, passes) in memo:
-        return memo[zero, one, passes]
-    if not g.full_mask & ~(zero | one):
-        cut = sum(1 for u, v in g.edges if (zero >> u ^ zero >> v) & 1)
-        d = 2 * cut - g.edge_count
-        value = abs(d) if objective is Objective.CORDIALITY else d
-    else:
-        zero_to_move, children = _moves(g, variant, zero, one, passes)
-        values = [_plain_value(g, variant, objective, *child, memo) for child in children]
-        value = min(values) if zero_to_move else max(values)
-    if memo is not None:
-        memo[zero, one, passes] = value
-    return value
-
-
 def _reachable_positions(g, variant, free_counts):
-    """Every reachable position whose count of free vertices is in ``free_counts``."""
-    seen = {(0, 0, 0)}
-    stack = [(0, 0, 0)]
+    """Every reachable state whose count of free vertices is in ``free_counts``."""
+    start = new_game(g, variant)
+    seen = {start}
+    stack = [start]
     found = []
     while stack:
-        position = stack.pop()
-        zero, one, _ = position
-        free_count = g.n - zero.bit_count() - one.bit_count()
+        state = stack.pop()
+        free_count = g.n - (state.zero_mask | state.one_mask).bit_count()
         if free_count in free_counts:
-            found.append(position)
+            found.append(state)
         if free_count <= min(free_counts):
             continue
-        for child in _moves(g, variant, *position)[1]:
+        for move in legal_moves(state):
+            child = apply_move(state, move)
             if child not in seen:
                 seen.add(child)
                 stack.append(child)
@@ -251,17 +233,15 @@ def test_endgame_closed_form_matches_plain_recursion():
     below_first_window = 0
     for g, free_counts in inputs:
         for variant in ALL_VARIANTS:
-            positions = _reachable_positions(g, variant, free_counts)
-            for zero, one, passes in positions:
-                free_count = g.n - zero.bit_count() - one.bit_count()
-                zero_to_move = _moves(g, variant, zero, one, passes)[0]
-                if free_count == 3 and not zero_to_move and passes < variant.pass_budget:
-                    one_may_pass_at_three += 1
+            states = _reachable_positions(g, variant, free_counts)
+            for state in states:
+                free_count = g.n - (state.zero_mask | state.one_mask).bit_count()
+                one_may_pass_at_three += free_count == 3 and PASS in legal_moves(state)
             for objective in (Objective.CORDIALITY, Objective.BALANCE):
                 searcher = _Searcher(g, variant, objective, SolveOptions())
-                memo = {}
-                for zero, one, passes in positions:
-                    value = _plain_value(g, variant, objective, zero, one, passes, memo)
+                reference = position_values(g, variant, objective)
+                for _, _, zero, one, passes in states:
+                    value = reference(zero, one, passes)
                     assert searcher.state_value(zero, one, passes) == value, (
                         g.edges, variant.code, objective.value, zero, one, passes
                     )
@@ -272,22 +252,19 @@ def test_endgame_closed_form_matches_plain_recursion():
 
 
 def _reference_line(g, variant, objective):
-    """The value and the lowest-index optimal line, pass last, by plain recursion."""
-    position = (0, 0, 0)
-    value = None
+    """The value and the lowest-index optimal line, pass last, by the oracle."""
+    reference = position_values(g, variant, objective)
+    value = reference(0, 0, 0)  # every position on an optimal line keeps this value
+    state = new_game(g, variant)
     line = []
-    memo = {}
-    while g.full_mask & ~(position[0] | position[1]):
-        zero_to_move, children = _moves(g, variant, *position)
-        values = [_plain_value(g, variant, objective, *child, memo) for child in children]
-        if value is None:  # the root: every later position on the line keeps its value
-            value = min(values) if zero_to_move else max(values)
-        child = children[values.index(value)]
-        placed = (child[0] | child[1]) ^ (position[0] | position[1])
-        line.append(Move.label(placed.bit_length() - 1) if placed else Move(None))
-        position = child
-    if value is None:  # no vertices
-        value = _plain_value(g, variant, objective, *position)
+    while not is_terminal(state):
+        # the tie-break order: ascending vertex, then the pass
+        for move in sorted(legal_moves(state), key=lambda m: (m.is_pass, m.vertex or 0)):
+            child = apply_move(state, move)
+            if reference(child.zero_mask, child.one_mask, child.passes_used) == value:
+                break
+        line.append(move)
+        state = child
     return value, line
 
 
