@@ -10,7 +10,8 @@ Subcommands
 
 Exit codes: 0 success / all pass, 1 verification failure, 2 input error,
 3 resource refusal (graph above the solver's hard cap without --force, or
-above a Maker-Breaker cap).
+above a Maker-Breaker cap).  ``verify`` checks its ``--max-n`` against every
+selected fixture's cap before doing any work.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .game import Objective, VARIANT_CODES, ZERO_STARTS, ONE_STARTS, ONE_STARTS_
 from .graph6 import Graph6Error, emit_graph6, parse_edge_list, parse_graph6_file
 from .graphs import Graph, GraphError, path_graph, random_connected_graph, spider_graph, star_graph
 from .harness import worst_case_line, worst_case_vs_optimal
-from .makerbreaker import export_hypergraph, maker_breaker_value, winning_family
+from .makerbreaker import MB_MAX_N, export_hypergraph, maker_breaker_value, winning_family
 from .branching import find_branch
-from .solver import GAME_NUMBERS, SolveOptions, SolverCapError, game_number, solve
+from .solver import DEFAULT_MAX_N, GAME_NUMBERS, SolveOptions, SolverCapError, game_number, solve
 from .strategies import (
     balance_maximizer_strategy,
     path_bound,
@@ -39,7 +40,7 @@ from .strategies import (
     tree_bound,
     tree_strategy,
 )
-from .trees import enumerate_trees, prufer_decode
+from .trees import MAX_ENUM_ORDER, enumerate_trees, prufer_decode
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -311,23 +312,29 @@ def _verify_mb_equiv(records, max_n) -> bool:
     return all_ok
 
 
-# fixture name -> (check, default --max-n)
+# fixture name -> (check, default --max-n, largest --max-n and the error
+# past it: a tree order past enumeration is an input error, a graph past a
+# solver's cap a refusal)
 _FIXTURE_RUNS = {
-    "small-paths": (_verify_small_paths, None),
-    "path-bound": (_verify_path_bound, 12),
-    "tree-bound": (_verify_tree_bound, 8),
-    "balance-bound": (_verify_balance_bound, 10),
-    "mb-equiv": (_verify_mb_equiv, 8),
+    "small-paths": (_verify_small_paths, None, None, None),
+    "path-bound": (_verify_path_bound, 12, DEFAULT_MAX_N, SolverCapError),
+    "tree-bound": (_verify_tree_bound, 8, MAX_ENUM_ORDER, GraphError),
+    "balance-bound": (_verify_balance_bound, 10, DEFAULT_MAX_N, SolverCapError),
+    "mb-equiv": (_verify_mb_equiv, 8, MB_MAX_N, SolverCapError),
 }
 FIXTURES = tuple(_FIXTURE_RUNS)
 
 
 def cmd_verify(args, out) -> int:
     names = FIXTURES if args.fixture == "all" else (args.fixture,)
+    for name in names:  # refuse an out-of-range --max-n before any work
+        _, _, cap, error = _FIXTURE_RUNS[name]
+        if cap is not None and args.max_n is not None and args.max_n > cap:
+            raise error(f"verify {name} supports --max-n up to {cap}")
     records: list[dict] = []
     all_ok = True
     for name in names:
-        run, default_max_n = _FIXTURE_RUNS[name]
+        run, default_max_n, _, _ = _FIXTURE_RUNS[name]
         all_ok &= run(records, args.max_n or default_max_n)
     emit_records(records, args.format, out)
     summary = "all fixtures passed" if all_ok else "FAILURES above"

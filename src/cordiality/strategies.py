@@ -1,26 +1,31 @@
 """Executable labeling strategies with verifiable worst-case guarantees.
 
-All zero-player strategies here share one structure: a component is either
-played by a small scripted policy (paths of up to 6 vertices, or one of the
-branch shapes from ``branching``), or split into a main part, which the
-strategy opens and keeps strictly alternating by answering every opponent
-move in the same part, and a small even-sized branch part handled by a
-script.  Scripts therefore have to tolerate three local move orders: the
+Every composite strategy is one ``SplitStrategy``: a flat tuple of
+territories, each a vertex set played by a small script.  A path peels
+six-vertex ``Path6Script`` parts off its end; a tree peels the branch
+shapes of ``branching`` one at a time and puts the path parts of what is
+left first.  One territory rule plays every split: the opening goes to
+part 0, an opponent move is answered in its own part while that part has
+a free vertex, and otherwise the reply opens the lowest part with a free
+vertex.  Scripts therefore have to tolerate three local move orders: the
 zero player opens, the opponent opens, or the opponent opens and later the
 zero player moves twice in a row (local pass).  Script decisions are driven
 by the observed local position plus the opponent's last move, so a
 strategy remembers little: it stays immutable and cheap to advance, and
 playout memoization merges across interleavings.
 
-Territories are vertex bitmasks: a tree policy recurses on the masks that
-``branching.find_branch_in`` returns, and a split keeps one mask per part.
-The two six-position scripts (the 6-path and two 3-arms under a center)
-share one book in ``_FirstMoveMemory`` (the opening, the answers to an
-opening, the arm-pair play after an opening on the middle of an arm, and
+The three four-position scripts (the 4-path, two 2-arms and a leaf beside a
+3-arm) are one ``PairScript``: take one label in each of two position
+pairs.  The two six-position scripts (the 6-path and two 3-arms under a
+center) share one book in ``_FirstMoveMemory`` (the opening, the answers to
+an opening, the arm-pair play after an opening on the middle of an arm, and
 the fallback) and differ only in their follow-up moves.
 
-The one-player balance strategy mirrors the same split idea: a recursive
-main path plus a terminal vertex pair whose inner edge it always claims.
+The one-player balance strategy is the same split, with the path's vertex
+pairs (n-2, n-1), (n-4, n-3), ... (and vertex 0 alone when n is odd) as
+territories.  Each pair takes its highest free vertex, so the pair's edge
+always gets labeled 1, whether the strategy answers in the pair or opens
+it at the far end.
 """
 
 from __future__ import annotations
@@ -63,12 +68,14 @@ class Strategy:
 
 
 class _ScriptBase(Strategy):
-    """Zero-player policy over a fixed tuple of host vertices.
+    """Scripted policy over a fixed tuple of host vertices.
 
-    Scripts reason in 1-based local positions; ``verts[i]`` is position
-    i + 1.  ``_view`` extracts (own, opp, free, prompted) where prompted is
-    the local position of the opponent's last label when it landed in this
-    script's territory.
+    Scripts see the position from the zero player's side (the balance
+    strategy's pairs read only which positions are free) and reason in
+    1-based local positions; ``verts[i]`` is position i + 1.  ``_view``
+    extracts (own, opp, free, prompted) where prompted is the local
+    position of the opponent's last label when it landed in this script's
+    territory.
     """
 
     def __init__(self, verts: tuple[int, ...]):
@@ -104,11 +111,12 @@ class _ScriptBase(Strategy):
 
 
 class TinyScript(_ScriptBase):
-    """Take the lowest free vertex.
+    """Take the lowest free position.
 
     Any move is optimal on a 1 or 2 vertex path component.  On two leaves
     under one center (branch case 2), taking the sibling of whatever the
-    opponent takes means taking the lone free vertex.
+    opponent takes means taking the lone free vertex.  A balance pair lists
+    its far end first, so this takes the highest free vertex there.
     """
 
     provenance = "exact-tiny"
@@ -129,15 +137,16 @@ class Path3Script(_ScriptBase):
         return min(safe) if safe else min(free)
 
 
-class _ClassScript(_ScriptBase):
-    """Answer in the class the opponent just played; used for P4 and P5.
+class Path5Script(_ScriptBase):
+    """Answer in the class the opponent just played.
 
     Classes are the two alternating position sets of the path.  Ending with
-    a label in each class keeps the path's edge discrepancy at 1 (P4) or
-    2 (P5) no matter what the opponent does.
+    a label in each class keeps the path's edge discrepancy at 2 no matter
+    what the opponent does.
     """
 
-    classes: tuple[frozenset, frozenset] = (frozenset(), frozenset())
+    provenance = "path-script-5"
+    classes = (frozenset({1, 3, 5}), frozenset({2, 4}))
 
     def _decide(self, own, opp, free, prompted):
         first, second = self.classes
@@ -152,16 +161,6 @@ class _ClassScript(_ScriptBase):
         if len(lacking) == 1:
             return min(free & lacking[0])
         return min(free)
-
-
-class Path4Script(_ClassScript):
-    provenance = "path-script-4"
-    classes = (frozenset({1, 3}), frozenset({2, 4}))
-
-
-class Path5Script(_ClassScript):
-    provenance = "path-script-5"
-    classes = (frozenset({1, 3, 5}), frozenset({2, 4}))
 
 
 _P6_BAD = (
@@ -188,6 +187,32 @@ def _one_per_pair(own: set, free: set, prompted: int | None, pairs: tuple) -> in
             return min(free & pair)
     return min(free & lacking[0]) if lacking else None
 
+
+class PairScript(_ScriptBase):
+    """Four positions in two pairs: take one label in each pair, following
+    the opponent into the pair they just played.  ``_PAIRINGS`` names the
+    three pairings by provenance."""
+
+    def __init__(self, verts, provenance: str):
+        super().__init__(verts)
+        self.provenance = provenance
+        self.pairs = _PAIRINGS[provenance]
+
+    def _decide(self, own, opp, free, prompted):
+        move = _one_per_pair(own, free, prompted, self.pairs)
+        return min(free) if move is None else move
+
+
+_PAIRINGS = {
+    # a label in each alternating class holds the 4-path's discrepancy to 1
+    "path-script-4": (frozenset({1, 3}), frozenset({2, 4})),
+    # two 2-arms (1,2) and (3,4), with 2 and 3 beside the center v: one of
+    # {2,3} cancels the two center edges, leaving at most 2 from the outer
+    "twin-2-arms": (frozenset({2, 3}), frozenset({1, 4})),
+    # a leaf and a 3-arm: one label per pair balances the two center edges
+    # and bounds the arm edges by 2
+    "leaf-and-3-arm": (frozenset({1, 2}), frozenset({3, 4})),
+}
 
 _OUTER_PAIRS = (frozenset({1, 3}), frozenset({4, 6}))
 
@@ -266,50 +291,6 @@ class Path6Script(_FirstMoveMemory):
         return None
 
 
-class Case3Script(_ScriptBase):
-    """Two 2-paths under one center v: positions (1,2) and (3,4) with 2 and
-    3 adjacent to v.  Securing exactly one of {2,3} cancels the two center
-    edges, leaving at most 2 from the outer edges."""
-
-    provenance = "twin-2-arms"
-
-    def _decide(self, own, opp, free, prompted):
-        middle = {2, 3}
-        outer = {1, 4}
-        if not own & middle:
-            if prompted in middle:
-                other = middle - {prompted}
-                if other & free:
-                    return min(other & free)
-            if prompted in outer:
-                other = outer - {prompted}
-                if other & free:
-                    return min(other & free)
-                if free & middle:
-                    return min(free & middle)
-            if free & middle:
-                return min(free & middle)
-            return min(free)
-        if free & outer:
-            return min(free & outer)
-        return min(free)
-
-
-class Case5Script(_ScriptBase):
-    """A leaf and a 3-path under one center: pairs (1,2) and (3,4).
-
-    One label in each pair balances the two center edges and bounds the
-    arm edges by 2.  Follow the opponent into whichever pair they play."""
-
-    provenance = "leaf-and-3-arm"
-
-    pairs = (frozenset({1, 2}), frozenset({3, 4}))
-
-    def _decide(self, own, opp, free, prompted):
-        move = _one_per_pair(own, free, prompted, self.pairs)
-        return min(free) if move is None else move
-
-
 _CASE6_WIN_SPLIT = (
     frozenset({1, 2, 5}), frozenset({1, 2, 6}), frozenset({1, 3, 6}),
     frozenset({1, 5, 6}), frozenset({2, 3, 4}), frozenset({2, 4, 5}),
@@ -352,98 +333,99 @@ class Case6Script(_FirstMoveMemory):
 
 
 class SplitStrategy(Strategy):
-    """Open in the main part; answer the opponent inside the part they play.
+    """Play a flat tuple of territories, one script per part.
 
-    When the opponent's move fills the main part, the next reply opens the
-    branch part, which its script experiences as a local pass.  The branch
-    part has even order and is answered immediately, so it can never be
-    filled by the opponent while the main part is still open.
+    The opening goes to part 0.  An opponent move is answered in its own
+    part while that part has a free vertex; otherwise the reply opens the
+    lowest part with a free vertex, which its script experiences as a
+    local pass.  Parts are answered at once, so the opponent can close a
+    part only when every lower part is already full; a free lower part
+    means the pairing discipline was broken.
     """
 
-    def __init__(self, main: Strategy, branch: Strategy,
-                 main_mask: int, branch_mask: int, provenance: str):
-        self.main = main
-        self.branch = branch
-        self.main_mask = main_mask
-        self.branch_mask = branch_mask
+    def __init__(self, parts, provenance: str, role: Player = Player.ZERO):
+        self.parts = tuple(parts)
         self.provenance = provenance
+        self.role = role
+        self._masks = tuple(vertex_mask(part.verts) for part in self.parts)
+        self._part_of = {v: k for k, part in enumerate(self.parts) for v in part.verts}
+        self._key = tuple(part.state_key() for part in self.parts)
 
     def state_key(self):
-        return (self.main.state_key(), self.branch.state_key())
+        return self._key
 
     def after(self, move, mover):
-        # each part's scripts ignore moves outside their own vertices
         if move.is_pass:
             return self
-        if self.main_mask >> move.vertex & 1:
-            main = self.main.after(move, mover)
-            return self if main is self.main else self._copy(main=main)
-        if self.branch_mask >> move.vertex & 1:
-            branch = self.branch.after(move, mover)
-            return self if branch is self.branch else self._copy(branch=branch)
-        return self
+        k = self._part_of[move.vertex]
+        part = self.parts[k].after(move, mover)
+        if part is self.parts[k]:
+            return self
+        return self._copy(parts=self.parts[:k] + (part,) + self.parts[k + 1:],
+                          _key=self._key[:k] + (part.state_key(),) + self._key[k + 1:])
 
     def choose(self, state: GameState, last_move: Move | None) -> Move:
         occupied = state.zero_mask | state.one_mask
-        main_free = self.main_mask & ~occupied
-        branch_free = self.branch_mask & ~occupied
         if last_move is None:
             if occupied:
                 raise StrategyError(f"{self.provenance}: unprompted move mid-game")
-            return self.main.choose(state, None)
+            if self.role is not Player.ZERO:
+                raise StrategyError(f"{self.provenance}: expects the opponent to start")
+            return self.parts[0].choose(state, None)
         if last_move.is_pass:
             raise StrategyError(f"{self.provenance}: built for pass-free variants")
-        v = last_move.vertex
-        if self.main_mask >> v & 1:
-            if main_free:
-                return self.main.choose(state, last_move)
-            if branch_free:
-                return self.branch.choose(state, last_move)
-        else:
-            if branch_free:
-                return self.branch.choose(state, last_move)
-            if main_free:
-                raise StrategyError(
-                    f"{self.provenance}: branch part closed by the opponent; "
-                    "the pairing discipline was broken"
-                )
+        free = ~occupied
+        k = self._part_of[last_move.vertex]
+        if self._masks[k] & free:
+            return self.parts[k].choose(state, last_move)
+        for j, mask in enumerate(self._masks):
+            if mask & free:
+                if j < k:
+                    raise StrategyError(
+                        f"{self.provenance}: part {j} left open below the closed part {k}; "
+                        "the pairing discipline was broken"
+                    )
+                return self.parts[j].choose(state, last_move)
         raise StrategyError(f"{self.provenance}: no free vertex to play")
 
 
-def _path_policy(ordered: tuple[int, ...]) -> Strategy:
-    k = len(ordered)
-    if k <= 2:
-        return TinyScript(ordered)
-    if k == 3:
-        return Path3Script(ordered)
-    if k == 4:
-        return Path4Script(ordered)
-    if k == 5:
-        return Path5Script(ordered)
-    if k == 6:
-        return Path6Script(ordered)
-    prefix, suffix = ordered[:-6], ordered[-6:]
-    return SplitStrategy(
-        main=_path_policy(prefix),
-        branch=Path6Script(suffix),
-        main_mask=vertex_mask(prefix),
-        branch_mask=vertex_mask(suffix),
-        provenance="split-path",
-    )
+_PATH_SCRIPTS = {
+    1: TinyScript,
+    2: TinyScript,
+    3: Path3Script,
+    4: lambda verts: PairScript(verts, "path-script-4"),
+    5: Path5Script,
+    6: Path6Script,
+}
+
+
+def _path_parts(ordered: tuple[int, ...]) -> list[Strategy]:
+    """A path's territories in play order: its first 1 to 6 vertices, then
+    six-vertex ``Path6Script`` parts to its end."""
+    head = (len(ordered) - 1) % 6 + 1
+    parts = [_PATH_SCRIPTS[head](ordered[:head])]
+    for start in range(head, len(ordered), 6):
+        parts.append(Path6Script(ordered[start:start + 6]))
+    return parts
+
+
+def _split(parts: list[Strategy], provenance: str) -> Strategy:
+    return parts[0] if len(parts) == 1 else SplitStrategy(parts, provenance)
 
 
 def path_strategy(n: int) -> Strategy:
-    """Recursive zero-player strategy for the path on n vertices.
+    """Zero-player strategy for the path on n vertices.
 
-    Splits off the last six vertices, plays the scripted endgame there, and
-    recurses on the prefix, answering the opponent part-for-part.  Against
-    any play of the maximizer in the zero-starts game its final discrepancy
-    is within the mod-6 path bound.  For n <= 6 it is a single script, which
-    reads the observed move order and so plays optimally in every variant.
+    Peels six-vertex scripted endgames off the end of the path and plays
+    the first 1 to 6 vertices by a small script, answering the opponent
+    part-for-part.  Against any play of the maximizer in the zero-starts
+    game its final discrepancy is within the mod-6 path bound.  For n <= 6
+    it is a single script, which reads the observed move order and so
+    plays optimally in every variant.
     """
     if n < 3:
         raise GraphError("path strategy needs at least 3 vertices")
-    return _path_policy(tuple(range(n)))
+    return _split(_path_parts(tuple(range(n))), "split-path")
 
 
 def _induced_path_order(g: Graph, mask: int) -> tuple[int, ...] | None:
@@ -453,11 +435,11 @@ def _induced_path_order(g: Graph, mask: int) -> tuple[int, ...] | None:
 
 
 _CASE_SCRIPTS = {
-    1: lambda r: Path4Script((r["v1"], r["v2"], r["v3"], r["v4"])),
+    1: lambda r: PairScript((r["v1"], r["v2"], r["v3"], r["v4"]), "path-script-4"),
     2: lambda r: TinyScript((r["v1"], r["v2"])),
-    3: lambda r: Case3Script((r["v1"], r["v2"], r["v3"], r["v4"])),
-    4: lambda r: Path4Script((r["v4"], r["v1"], r["v2"], r["v3"])),
-    5: lambda r: Case5Script((r["v1"], r["v2"], r["v3"], r["v4"])),
+    3: lambda r: PairScript((r["v1"], r["v2"], r["v3"], r["v4"]), "twin-2-arms"),
+    4: lambda r: PairScript((r["v4"], r["v1"], r["v2"], r["v3"]), "path-script-4"),
+    5: lambda r: PairScript((r["v1"], r["v2"], r["v3"], r["v4"]), "leaf-and-3-arm"),
     6: lambda r: Case6Script((r["v1"], r["v2"], r["v3"], r["v4"], r["v5"], r["v6"])),
     7: lambda r: Path6Script((r["v3"], r["v2"], r["v1"], r["v4"], r["v5"], r["v6"])),
 }
@@ -468,80 +450,35 @@ def branch_script(decomposition: BranchDecomposition) -> Strategy:
     return _CASE_SCRIPTS[decomposition.case_id](decomposition.roles)
 
 
-def _tree_policy(g: Graph, mask: int) -> Strategy:
-    order = _induced_path_order(g, mask)
-    if order is not None:
-        return _path_policy(order)
-    decomposition = find_branch_in(g, mask)
-    return SplitStrategy(
-        main=_tree_policy(g, decomposition.remainder_mask),
-        branch=branch_script(decomposition),
-        main_mask=decomposition.remainder_mask,
-        branch_mask=decomposition.branch_mask,
-        provenance="split-tree",
-    )
-
-
 def tree_strategy(t: Graph) -> Strategy:
-    """Recursive zero-player strategy for a tree; worst case within n/2.
+    """Zero-player strategy for a tree; worst case within n/2.
 
-    Peels one branch shape at a time (see ``branching``), playing each
-    branch interior by its script and the remainder recursively.
+    Peels one branch shape at a time (see ``branching``) until a path is
+    left.  The path's parts come first and the branches follow, the last
+    peeled first; each branch interior is played by its script.
     """
     if not t.is_tree():
         raise NonTreeError("tree strategy needs a tree")
-    return _tree_policy(t, t.full_mask)
-
-
-class BalancePairStrategy(Strategy):
-    """One-player strategy keeping the signed score of a path non-negative.
-
-    The last two path vertices form a pair whose inner edge this strategy
-    always gets labeled 1: answer any opponent move in the pair with the
-    pair's other vertex, and grab the far end the moment the opponent
-    finishes the prefix.  The prefix replays the same idea recursively.
-    """
-
-    role = Player.ONE
-    provenance = "balance-pair-split"
-
-    def __init__(self, ordered: tuple[int, ...]):
-        if len(ordered) < 2:
-            raise GraphError("balance strategy needs at least 2 vertices")
-        self.ordered = tuple(ordered)
-        self.pair = (ordered[-2], ordered[-1])
-        prefix = ordered[:-2]
-        self.prefix_mask = vertex_mask(prefix)
-        self.prefix_policy = BalancePairStrategy(prefix) if len(prefix) >= 2 else None
-
-    def choose(self, state: GameState, last_move: Move | None) -> Move:
-        if last_move is None or last_move.is_pass:
-            raise StrategyError("balance strategy expects the opponent to start")
-        v = last_move.vertex
-        free = ~(state.zero_mask | state.one_mask)
-        near, far = self.pair
-        if v in (near, far):
-            other = far if v == near else near
-            if free >> other & 1:
-                return Move.label(other)
-            raise StrategyError("pair closed out of order")  # pragma: no cover
-        if self.prefix_mask & free:
-            if self.prefix_policy is None:  # pragma: no cover - 1-vertex prefix
-                raise StrategyError("single-vertex prefix cannot be open here")
-            return self.prefix_policy.choose(state, last_move)
-        # the opponent just finished the prefix: take the far end
-        if free >> far & 1:
-            return Move.label(far)
-        if free >> near & 1:  # pragma: no cover - defensive
-            return Move.label(near)
-        raise StrategyError("no free vertex to play")  # pragma: no cover
+    branches = []
+    mask = t.full_mask
+    while (order := _induced_path_order(t, mask)) is None:
+        decomposition = find_branch_in(t, mask)
+        branches.append(branch_script(decomposition))
+        mask = decomposition.remainder_mask
+    return _split(_path_parts(order) + branches[::-1], "split-tree" if branches else "split-path")
 
 
 def balance_maximizer_strategy(n: int) -> Strategy:
-    """One-player strategy for the zero-starts balance game on the path."""
+    """One-player strategy for the zero-starts balance game on the path.
+
+    Its parts are vertex 0 alone when n is odd and then the pairs
+    (n % 2, n % 2 + 1), ..., (n - 2, n - 1), each listed far end first.
+    """
     if n < 2:
         raise GraphError("balance strategy needs at least 2 vertices")
-    return BalancePairStrategy(tuple(range(n)))
+    parts = [TinyScript((0,))] if n % 2 else []
+    parts += [TinyScript((v + 1, v)) for v in range(n % 2, n, 2)]
+    return SplitStrategy(parts, "balance-pair-split", role=Player.ONE)
 
 
 def suffix_pair_edge(n: int) -> tuple[int, int]:

@@ -266,14 +266,32 @@ def test_maker_breaker_caps_are_refusals(monkeypatch, capsys):
         code, _ = run_cli(args)
         assert code == 3
         assert "refused" in capsys.readouterr().err
-    # mb-equiv meets the cap only after solving every shorter path, so a
-    # lower cap keeps the run short
+    # the solver's own cap, met while the fixture runs; a lower cap keeps
+    # the run short (the command's up-front check still reads 14)
     import cordiality.makerbreaker
 
     monkeypatch.setattr(cordiality.makerbreaker, "MB_MAX_N", 4)
     code, _ = run_cli(["verify", "mb-equiv", "--max-n", "5"])
     assert code == 3
     assert "refused" in capsys.readouterr().err
+
+
+def test_verify_refuses_max_n_past_a_fixture_cap_before_any_work(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("solve", "maker_breaker_value", "worst_case_vs_optimal"):
+        monkeypatch.setattr(cli, name, no_work)
+    # tree enumeration ends at order 12 (an input error); the Maker-Breaker
+    # solver at 14 and the game solver at 22 (refusals); under "all" the
+    # first fixture past its cap in run order decides the exit code
+    for argv, expected in ((["verify", "tree-bound", "--max-n", "13"], 2),
+                           (["verify", "all", "--max-n", "13"], 2),
+                           (["verify", "mb-equiv", "--max-n", "15"], 3),
+                           (["verify", "path-bound", "--max-n", "23"], 3)):
+        code, text = run_cli(argv)
+        assert (code, text) == (expected, ""), argv
+        assert "supports --max-n up to" in capsys.readouterr().err, argv
 
 
 def test_force_refuses_graph_past_table_entry_range(tmp_path, monkeypatch):

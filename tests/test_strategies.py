@@ -33,6 +33,7 @@ from cordiality import (
     worst_case_vs_optimal,
 )
 from cordiality.branching import arm_components
+from cordiality.game import GameState
 from cordiality.graphs import vertex_mask
 from cordiality.strategies import Case6Script, Path6Script, StrategyError
 from cordiality.trees import NonTreeError
@@ -269,6 +270,33 @@ def test_balance_strategy_small_cases():
         )
         == 1
     )
+
+
+# -- the territory rule -------------------------------------------------------
+
+
+def _position(n, zero, one):
+    # a hand-built position: choose reads only the labels and the last move
+    return GameState(n, ZERO_STARTS, vertex_mask(zero), vertex_mask(one), 0)
+
+
+def test_split_opens_the_next_free_part_once_the_lower_ones_fill():
+    # path_strategy(12) has the parts 0..5 and 6..11; the opponent's label
+    # fills part 0, so the reply opens part 1 on its first vertex
+    state = _position(12, {0, 2, 4}, {1, 3, 5})
+    assert path_strategy(12).choose(state, Move.label(5)) == Move.label(6)
+    # balance_maximizer_strategy(6) has the pairs (0,1), (2,3), (4,5) and
+    # opens a pair on its far end
+    balance = balance_maximizer_strategy(6)
+    assert balance.choose(_position(6, {0, 1}, set()), Move.label(1)) == Move.label(3)
+    assert balance.choose(_position(6, {0, 2}, {1, 3}), Move.label(2)) == Move.label(5)
+
+
+def test_split_refuses_a_part_closed_above_an_open_one():
+    with pytest.raises(StrategyError, match="pairing discipline"):
+        path_strategy(12).choose(_position(12, {6, 8, 10}, {7, 9, 11}), Move.label(11))
+    with pytest.raises(StrategyError, match="pairing discipline"):
+        balance_maximizer_strategy(6).choose(_position(6, {4}, {5}), Move.label(4))
 
 
 # -- harness behavior ---------------------------------------------------------
