@@ -13,6 +13,7 @@ from .game import (
     VARIANT_CODES,
     ZERO_STARTS,
     apply_move,
+    children,
     is_legal,
     is_terminal,
     legal_moves,
@@ -35,7 +36,7 @@ from .graphs import (
     star_graph,
 )
 from .branching import BranchDecomposition, PathComponents, arm_components, find_branch
-from .harness import StrategyMoveError, worst_case_line, worst_case_vs_optimal
+from .harness import StrategyMoveError, Sweep, worst_case_line, worst_case_vs_optimal
 from .makerbreaker import (
     SetFamily,
     export_hypergraph,

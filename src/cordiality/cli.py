@@ -27,7 +27,7 @@ from multiprocessing import Pool
 from .game import Objective, VARIANT_CODES, ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS
 from .graph6 import Graph6Error, emit_graph6, parse_edge_list, parse_graph6_file
 from .graphs import Graph, GraphError, path_graph, random_connected_graph, spider_graph, star_graph
-from .harness import worst_case_line, worst_case_vs_optimal
+from .harness import Sweep
 from .makerbreaker import MB_MAX_N, export_hypergraph, maker_breaker_value, winning_family
 from .branching import find_branch
 from .solver import DEFAULT_MAX_N, GAME_NUMBERS, SolveOptions, SolverCapError, game_number, solve
@@ -189,10 +189,12 @@ def _check_strategy(records, fixture, g, strategy, variant, objective, bound, ho
                     terminal_check=None) -> bool:
     """Sweep ``strategy`` on ``g`` and record whether ``holds(worst)``.
 
-    A failing record carries a witness line that realizes the worst case;
-    a terminal that fails ``terminal_check`` counts as the worst case.
+    A failing record carries a witness line, read from the same sweep, that
+    realizes the worst case; a terminal that fails ``terminal_check``
+    counts as the worst case.
     """
-    worst = worst_case_vs_optimal(g, strategy, variant, objective, terminal_check=terminal_check)
+    sweep = Sweep(g, strategy, variant, objective, terminal_check)
+    worst = sweep.worst
     ok = holds(worst)
     record = {
         "fixture": fixture,
@@ -203,8 +205,7 @@ def _check_strategy(records, fixture, g, strategy, variant, objective, bound, ho
         "pass": ok,
     }
     if not ok:
-        _, witness = worst_case_line(g, strategy, variant, objective, terminal_check)
-        record["witness_line"] = [m.to_json() for m in witness]
+        record["witness_line"] = [m.to_json() for m in sweep.line()]
     records.append(record)
     return ok
 

@@ -169,6 +169,31 @@ def legal_moves(state: GameState) -> list[Move]:
     return moves
 
 
+def children(state: GameState) -> list[tuple[Move, GameState]]:
+    """``(move, apply_move(state, move))`` for every move in ``legal_moves(state)``,
+    in that order, built on the masks without checking each move again."""
+    n, variant, zero, one, passes = state
+    occupied = zero | one
+    labeled = occupied.bit_count()
+    if labeled == n:
+        return []
+    label = Move.label
+    out = []
+    free = ((1 << n) - 1) & ~occupied
+    zero_moves = _mover(state, labeled) is _ZERO
+    while free:
+        bit = free & -free
+        free ^= bit
+        if zero_moves:
+            child = GameState(n, variant, zero | bit, one, passes)
+        else:
+            child = GameState(n, variant, zero, one | bit, passes)
+        out.append((label(bit.bit_length() - 1), child))
+    if _may_pass(state, labeled):
+        out.append((PASS, GameState(n, variant, zero, one, passes + 1)))
+    return out
+
+
 def is_legal(state: GameState, move: Move) -> bool:
     """Whether ``move`` is among ``legal_moves(state)``, without building it."""
     occupied = state.zero_mask | state.one_mask

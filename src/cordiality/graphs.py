@@ -185,9 +185,13 @@ class CutStats:
 
 def cut_size_of_mask(g: Graph, mask: int) -> int:
     """Number of edges with exactly one endpoint in ``mask``."""
+    adj = g.adj
+    outside = ~mask
     total = 0
-    for v in iter_bits(mask):
-        total += (g.adj[v] & ~mask).bit_count()
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        total += (adj[low.bit_length() - 1] & outside).bit_count()
     return total
 
 

@@ -1,21 +1,22 @@
 """Exhaustive verification of fixed strategies against a free adversary.
 
-``worst_case_vs_optimal`` pins one side to a Strategy and ranges over every
-legal reply of the other side, so the result is the exact worst value the
-strategy can be held to (the adversary maximizes against a zero-player
-strategy and minimizes against a one-player strategy).  Positions are
-memoized together with the strategy's internal state key, which makes the
-search collapse across move-order interleavings.  Each position's
-labelled vertices are counted once, and the mover comes from
-``game._mover``, the one copy of the turn rule.  A strategy move must pass
-``is_legal`` or the sweep raises ``StrategyMoveError``.
+``Sweep`` pins one side to a Strategy and ranges over every legal reply
+of the other side, so its ``worst`` is the exact worst value the strategy
+can be held to (the adversary maximizes against a zero-player strategy and
+minimizes against a one-player strategy).  Positions are memoized together
+with the strategy's internal state key, which makes the search collapse
+across move-order interleavings.  Each position's labelled vertices are
+counted once, and the mover comes from ``game._mover``, the one copy of the
+turn rule.  The adversary's replies come from ``game.children``; a strategy
+move must pass ``is_legal`` or the sweep raises ``StrategyMoveError``.
 
 An optional terminal check is a predicate on every reachable final
 position, so per-playout structural claims are verified in the same sweep.
 A terminal that fails it scores one past every real score in the
 adversary's favour (``|E| + 1`` against a zero-player strategy,
 ``-|E| - 1`` against a one-player strategy), so the worst case exposes it
-and ``worst_case_line``, given the same predicate, leads to it.
+and ``Sweep.line`` leads to it.  ``worst_case_vs_optimal`` and
+``worst_case_line`` are one-call forms of ``Sweep``.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .game import (
     Variant,
     _mover,
     apply_move,
+    children,
     is_legal,
     is_terminal,
-    legal_moves,
     new_game,
     terminal_value,
     to_move,
@@ -50,6 +51,57 @@ class StrategyMoveError(RuntimeError):
         self.move = move
 
 
+class Sweep:
+    """One exhaustive sweep of ``strategy`` on ``g``: the worst value, and a
+    line realizing it on demand, both read from the same memo.
+
+    ``worst`` is the exact extremal value over all adversary plays with the
+    strategy fixed.  A reachable terminal on which ``terminal_check`` is
+    false scores one past the worst real score, ``|E| + 1`` against a
+    zero-player strategy and ``-|E| - 1`` against a one-player strategy.
+    """
+
+    def __init__(
+        self,
+        g: Graph,
+        strategy: Strategy,
+        variant: Variant,
+        objective: Objective,
+        terminal_check: Callable[[GameState], bool] | None = None,
+    ):
+        self._value = _sweep(g, strategy, objective, terminal_check)
+        self._start = new_game(g, variant)
+        self._strategy = strategy
+        self.worst = self._value(self._start, strategy, None)
+
+    def line(self) -> list[Move]:
+        """One complete move list realizing ``worst``.
+
+        At each adversary turn the line takes the first legal reply that
+        keeps the position's memoized value.  Under a ``terminal_check``
+        that fails somewhere, the line ends on a failing terminal.
+        """
+        value = self._value
+        state = self._start
+        strat = self._strategy
+        line: list[Move] = []
+        last: Move | None = None
+        while not is_terminal(state):
+            mover = to_move(state)
+            if mover is strat.role:
+                move = strat.choose(state, last)
+                child = apply_move(state, move)
+            else:
+                target = value(state, strat, last)
+                move, child = next((m, c) for m, c in children(state)
+                                   if value(c, strat.after(m, mover), m) == target)
+            strat = strat.after(move, mover)
+            line.append(move)
+            state = child
+            last = move
+        return line
+
+
 def worst_case_vs_optimal(
     g: Graph,
     strategy: Strategy,
@@ -57,14 +109,8 @@ def worst_case_vs_optimal(
     objective: Objective,
     terminal_check: Callable[[GameState], bool] | None = None,
 ) -> int:
-    """Exact extremal value over all adversary plays with the strategy fixed.
-
-    A reachable terminal on which ``terminal_check`` is false scores one
-    past the worst real score, ``|E| + 1`` against a zero-player strategy
-    and ``-|E| - 1`` against a one-player strategy.
-    """
-    value = _sweep(g, strategy, objective, terminal_check)
-    return value(new_game(g, variant), strategy, None)
+    """``Sweep(...).worst``: the exact worst value the strategy can be held to."""
+    return Sweep(g, strategy, variant, objective, terminal_check).worst
 
 
 def worst_case_line(
@@ -74,31 +120,9 @@ def worst_case_line(
     objective: Objective,
     terminal_check: Callable[[GameState], bool] | None = None,
 ) -> tuple[int, list[Move]]:
-    """Worst value plus one complete move list realizing it.
-
-    At each adversary turn the line takes the first legal reply that keeps
-    the position's memoized value.  Under a ``terminal_check`` that fails
-    somewhere, the line ends on a failing terminal.
-    """
-    value = _sweep(g, strategy, objective, terminal_check)
-    state = new_game(g, variant)
-    result = value(state, strategy, None)
-    line: list[Move] = []
-    strat = strategy
-    last: Move | None = None
-    while not is_terminal(state):
-        mover = to_move(state)
-        if mover is strat.role:
-            move = strat.choose(state, last)
-        else:
-            target = value(state, strat, last)
-            move = next(m for m in legal_moves(state)
-                        if value(apply_move(state, m), strat.after(m, mover), m) == target)
-        strat = strat.after(move, mover)
-        line.append(move)
-        state = apply_move(state, move)
-        last = move
-    return result, line
+    """Worst value plus one complete move list realizing it (``Sweep.line``)."""
+    sweep = Sweep(g, strategy, variant, objective, terminal_check)
+    return sweep.worst, sweep.line()
 
 
 def _sweep(g, strategy, objective, terminal_check):
@@ -131,10 +155,10 @@ def _sweep(g, strategy, objective, terminal_check):
         if cached is not None:
             return cached
         best: int | None = None
-        for move in legal_moves(state):
-            child = value(apply_move(state, move), strat.after(move, adversary), move)
-            if best is None or (child > best if maximizing else child < best):
-                best = child
+        for move, child in children(state):
+            score = value(child, strat.after(move, adversary), move)
+            if best is None or (score > best if maximizing else score < best):
+                best = score
         memo[key] = best
         return best
 

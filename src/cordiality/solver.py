@@ -32,6 +32,18 @@ zero player gains most by taking the lowest swing, and the one player
 gains most by denying it, so both movers use the same order.  Ties go to
 the lower index, the order the principal-line descent tries moves in,
 which keeps the descent cheap.  A pass is always tried last.
+
+Twin pruning.  Two vertices are twins when they have the same neighbours
+apart from each other: equal open neighbourhoods when they are not
+adjacent (the leaves of a star), equal closed ones when they are.  Swapping
+two twins is an automorphism that fixes every other vertex, so while both
+are free, labelling either gives the same value, and the search skips a
+free vertex while a lower-numbered twin of it is free.  Twins share a
+degree and a swing, so the lower one is tried first in either order, and
+the table keys stay exact positions.  Twins are found once per graph by
+grouping vertices on their open and closed neighbourhoods, with O(n) dict
+operations, not by comparing pairs.  The principal-line descent tries every
+legal move, so lines stay the lowest-index optimal ones.
 """
 
 from __future__ import annotations
@@ -48,9 +60,8 @@ from .game import (
     ONE_STARTS,
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
-    apply_move,
+    children,
     is_terminal,
-    legal_moves,
     new_game,
     to_move,
 )
@@ -161,6 +172,19 @@ class _Searcher:
         table = self.table
         capacity = self.capacity
         nodes_cell = self._nodes_cell
+        # lower_twins[v]: the lower-numbered twins of v.  Twins have equal
+        # open neighbourhoods (not adjacent) or equal closed ones (adjacent);
+        # an open and a closed neighbourhood are never equal, so one dict
+        # groups both kinds.
+        lower_twins = [0] * n
+        seen: dict[int, int] = {}
+        for v in range(n):
+            for hood in (adj[v], adj[v] | 1 << v):
+                lower = seen.get(hood, 0)
+                lower_twins[v] |= lower
+                seen[hood] = lower | 1 << v
+        # (lower twins, mask without v) of each vertex with a lower twin
+        twins = tuple((tw, ~(1 << v)) for v, tw in enumerate(lower_twins) if tw)
         move_bits = tuple((v, 1 << v) for v in range(n))
         static_order = tuple(
             move_bits[v] for v in sorted(range(n), key=lambda v: (-self.g.degree(v), v))
@@ -279,11 +303,16 @@ class _Searcher:
                 lo = -_BIAS + 1
                 hi = _BIAS - 1
             nodes_cell[0] += 1
+            # the free vertices to try: those with no free lower twin
+            movable = free
+            for tw, others in twins:
+                if free & tw:
+                    movable &= others
             if count >= swing_min_free:
-                # swing order (see the module docstring): one int per free
+                # swing order (see the module docstring): one int per movable
                 # vertex, swing << v_shift | v, sorts by swing, then index
                 keys = []
-                rest = free
+                rest = movable
                 while rest:
                     bit = rest & -rest
                     rest ^= bit
@@ -298,7 +327,7 @@ class _Searcher:
                 g_val = _BIAS
                 b = beta
                 for v, bit in order:
-                    if not free & bit:
+                    if not movable & bit:
                         continue
                     inc = (adj[v] & one).bit_count()
                     value = search(zero | bit, one, free ^ bit, passes, False,
@@ -314,7 +343,7 @@ class _Searcher:
                 a = alpha
                 cut = False
                 for v, bit in order:
-                    if not free & bit:
+                    if not movable & bit:
                         continue
                     inc = (adj[v] & zero).bit_count()
                     value = search(zero, one | bit, free ^ bit, passes, True,
@@ -387,7 +416,7 @@ class _Searcher:
 def _descend_line(searcher: _Searcher, value: int) -> list[Move]:
     """The lowest-index line along which every position keeps ``value``.
 
-    The game rules order the tries: ``legal_moves`` gives ascending vertices
+    The game rules order the tries: ``children`` gives ascending vertices
     with any pass last.  The mover's children all lie on one side of the
     value: at or above it when the zero player moves, at or below it when
     the one player does.  So a child keeps the value iff its value is proven
@@ -401,8 +430,7 @@ def _descend_line(searcher: _Searcher, value: int) -> list[Move]:
             lo, hi = value, searcher.edge_count
         else:
             lo, hi = searcher.floor, value
-        for move in legal_moves(state):
-            child = apply_move(state, move)
+        for move, child in children(state):
             if searcher.bounds(child.zero_mask, child.one_mask, child.passes_used,
                                lo, hi, target=value) == (value, value):
                 line.append(move)
@@ -444,6 +472,9 @@ def solve(
         return SolveResult(value=0, nodes=0, principal_line=[])
     value = searcher.state_value(0, 0, 0)
     moves = _descend_line(searcher, value) if line else []
+    # the search closure calls itself, so the searcher is garbage only to the
+    # cyclic collector, which may run many solves later: free the table now
+    searcher.table.clear()
     return SolveResult(value=value, nodes=searcher.nodes, principal_line=moves)
 
 

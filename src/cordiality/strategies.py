@@ -350,6 +350,9 @@ class SplitStrategy(Strategy):
         self._masks = tuple(vertex_mask(part.verts) for part in self.parts)
         self._part_of = {v: k for k, part in enumerate(self.parts) for v in part.verts}
         self._key = tuple(part.state_key() for part in self.parts)
+        # part k's move by (k, its zero labels, its one labels, last move,
+        # its state key): everything its script reads.  Copies share it.
+        self._moves: dict[tuple, Move] = {}
 
     def state_key(self):
         return self._key
@@ -377,7 +380,7 @@ class SplitStrategy(Strategy):
         free = ~occupied
         k = self._part_of[last_move.vertex]
         if self._masks[k] & free:
-            return self.parts[k].choose(state, last_move)
+            return self._part_move(k, state, last_move)
         for j, mask in enumerate(self._masks):
             if mask & free:
                 if j < k:
@@ -385,8 +388,16 @@ class SplitStrategy(Strategy):
                         f"{self.provenance}: part {j} left open below the closed part {k}; "
                         "the pairing discipline was broken"
                     )
-                return self.parts[j].choose(state, last_move)
+                return self._part_move(j, state, last_move)
         raise StrategyError(f"{self.provenance}: no free vertex to play")
+
+    def _part_move(self, k: int, state: GameState, last_move: Move) -> Move:
+        mask = self._masks[k]
+        key = (k, state.zero_mask & mask, state.one_mask & mask, last_move, self._key[k])
+        move = self._moves.get(key)
+        if move is None:
+            move = self._moves[key] = self.parts[k].choose(state, last_move)
+        return move
 
 
 _PATH_SCRIPTS = {

@@ -175,14 +175,25 @@ def test_verify_small_paths_honours_max_n():
 def test_verify_failure_exits_one_with_witness(monkeypatch):
     # force an unattainable claimed bound so the fixture must fail
     import cordiality.cli as cli_module
+    import cordiality.harness as harness_module
 
     monkeypatch.setattr(cli_module, "path_bound", lambda n: -1)
     monkeypatch.setattr(cli_module, "path_bound_mod6", lambda n: -1)
+    sweeps = []
+    real_sweep = harness_module._sweep
+
+    def counted_sweep(g, *args):
+        sweeps.append(emit_graph6(g))
+        return real_sweep(g, *args)
+
+    monkeypatch.setattr(harness_module, "_sweep", counted_sweep)
     code, text = run_cli(["verify", "path-bound", "--max-n", "6"])
     assert code == 1
     records = jsonl(text)
     assert any(not record["pass"] for record in records)
     witnesses = {r["graph"]: r["witness_line"] for r in records if "witness_line" in r}
+    # the worst case and the witness line come from one sweep per record
+    assert sweeps == [r["graph"] for r in records if "witness_line" in r]
     assert witnesses == {
         emit_graph6(path_graph(3)): [1, 0, 2],
         emit_graph6(path_graph(4)): [0, 1, 3, 2],
@@ -280,7 +291,7 @@ def test_verify_refuses_max_n_past_a_fixture_cap_before_any_work(monkeypatch, ca
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("solve", "maker_breaker_value", "worst_case_vs_optimal"):
+    for name in ("solve", "maker_breaker_value", "Sweep"):
         monkeypatch.setattr(cli, name, no_work)
     # tree enumeration ends at order 12 (an input error); the Maker-Breaker
     # solver at 14 and the game solver at 22 (refusals); under "all" the

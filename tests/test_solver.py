@@ -148,11 +148,23 @@ def test_balance_node_count_is_pinned():
     # A regression guard on search work: a change that moves this total
     # records the before and after counts in CHANGES.md.  The static degree
     # order expanded 10961 nodes here; swing order from five free vertices
-    # expands 6902.
+    # expands 6902, and skipping twins 6840.
     rng = random.Random(2024)
     graphs = [random_connected_graph(n, 0.4, rng) for n in (8, 9, 10) for _ in range(4)]
     total = sum(solve(g, ZERO_STARTS, Objective.BALANCE, line=True).nodes for g in graphs)
-    assert total == 6902
+    assert total == 6840
+
+
+def test_star_node_count_is_pinned():
+    # The leaves of a star are twins, so the search tries one free leaf per
+    # position: without twin pruning these solves expand 281236 nodes.
+    total = sum(
+        solve(star_graph(n), variant, objective).nodes
+        for n in range(8, 16)
+        for variant in ALL_VARIANTS
+        for objective in (Objective.CORDIALITY, Objective.BALANCE)
+    )
+    assert total == 1894
 
 
 def test_oracle_equals_solver_on_small_paths_and_trees():
@@ -272,6 +284,10 @@ def test_principal_line_is_lowest_index_optimal_line():
     rng = random.Random(1618)
     graphs = [tree for n in range(1, 8) for tree in enumerate_trees(n)]
     graphs += [random_connected_graph(n, 0.5, rng) for n in (5, 6, 7, 7)]
+    # adjacent twins, which trees lack apart from P2: K5, K6, and a triangle
+    # with two pendants on one corner
+    graphs += [from_edges(n, [(u, v) for v in range(n) for u in range(v)]) for n in (5, 6)]
+    graphs.append(from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)]))
     both = (Objective.CORDIALITY, Objective.BALANCE)
     cases = [(g, both) for g in graphs]
     # dense graphs where balance positions with at least _SWING_MIN_FREE

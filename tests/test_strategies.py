@@ -35,7 +35,7 @@ from cordiality import (
 from cordiality.branching import arm_components
 from cordiality.game import GameState
 from cordiality.graphs import vertex_mask
-from cordiality.strategies import Case6Script, Path6Script, StrategyError
+from cordiality.strategies import Case6Script, Path6Script, SplitStrategy, StrategyError
 from cordiality.trees import NonTreeError
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
@@ -297,6 +297,30 @@ def test_split_refuses_a_part_closed_above_an_open_one():
         path_strategy(12).choose(_position(12, {6, 8, 10}, {7, 9, 11}), Move.label(11))
     with pytest.raises(StrategyError, match="pairing discipline"):
         balance_maximizer_strategy(6).choose(_position(6, {4}, {5}), Move.label(4))
+
+
+def test_cached_split_moves_equal_fresh_script_moves(monkeypatch):
+    # SplitStrategy caches each part's move; at every decision the sweeps
+    # reach, the cached move must be the one the part's script computes now
+    cached_move = SplitStrategy._part_move
+    decisions = hits = 0
+
+    def checked(self, k, state, last_move):
+        nonlocal decisions, hits
+        known = len(self._moves)
+        move = cached_move(self, k, state, last_move)
+        assert move == self.parts[k].choose(state, last_move), (self.provenance, state, k)
+        decisions += 1
+        hits += len(self._moves) == known
+        return move
+
+    monkeypatch.setattr(SplitStrategy, "_part_move", checked)
+    cases = [(t, tree_strategy(t)) for n in range(3, 10) for t in enumerate_trees(n)]
+    cases += [(path_graph(n), path_strategy(n)) for n in range(3, 13)]
+    for g, strategy in cases:
+        for variant in (ZERO_STARTS, ONE_STARTS):
+            worst_case_vs_optimal(g, strategy, variant, Objective.CORDIALITY)
+    assert hits > 0 and decisions > hits
 
 
 # -- harness behavior ---------------------------------------------------------
