@@ -36,7 +36,7 @@ from .graphs import (
     star_graph,
 )
 from .branching import BranchDecomposition, PathComponents, arm_components, find_branch
-from .harness import StrategyMoveError, Sweep, worst_case_line, worst_case_vs_optimal
+from .harness import StrategyMoveError, Sweep
 from .makerbreaker import (
     SetFamily,
     export_hypergraph,
@@ -45,13 +45,7 @@ from .makerbreaker import (
     winning_family,
 )
 from .oracle import brute_force_value, position_values
-from .solver import (
-    SolveOptions,
-    SolveResult,
-    SolverCapError,
-    game_number,
-    solve,
-)
+from .solver import SolveResult, SolverCapError, game_number, solve
 from .strategies import (
     CASE6_WINNING_SETS,
     Strategy,

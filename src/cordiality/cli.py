@@ -11,7 +11,8 @@ Subcommands
 Exit codes: 0 success / all pass, 1 verification failure, 2 input error,
 3 resource refusal (graph above the solver's hard cap without --force, or
 above a Maker-Breaker cap).  ``verify`` checks its ``--max-n`` against every
-selected fixture's cap before doing any work.
+selected fixture's cap, and ``probe-balance`` against the solver's, before
+doing any work.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .graphs import Graph, GraphError, path_graph, random_connected_graph, spide
 from .harness import Sweep
 from .makerbreaker import MB_MAX_N, export_hypergraph, maker_breaker_value, winning_family
 from .branching import find_branch
-from .solver import DEFAULT_MAX_N, GAME_NUMBERS, SolveOptions, SolverCapError, game_number, solve
+from .solver import DEFAULT_MAX_N, GAME_NUMBERS, SolverCapError, game_number, solve
 from .strategies import (
     balance_maximizer_strategy,
     path_bound,
@@ -89,10 +90,6 @@ def load_graphs(args) -> list[Graph]:
         raise InputError(str(exc)) from exc
 
 
-def solve_options(args) -> SolveOptions:
-    return SolveOptions(max_n=10_000 if args.force else None)
-
-
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -128,9 +125,9 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
         out.write("  ".join(str(record.get(f, "")).ljust(widths[f]) for f in fields) + "\n")
 
 
-def solve_record(g: Graph, variant_code: str, objective_value: str, opts: SolveOptions) -> dict:
+def solve_record(g: Graph, variant_code: str, objective_value: str, max_n: int | None) -> dict:
     """The output record of one solve; module-level so a pool worker can run it."""
-    result = solve(g, VARIANT_CODES[variant_code], Objective(objective_value), opts)
+    result = solve(g, VARIANT_CODES[variant_code], Objective(objective_value), max_n=max_n)
     return {
         "graph": emit_graph6(g),
         "n": g.n,
@@ -158,7 +155,7 @@ def map_jobs(func, items: list, jobs: int) -> list:
 def cmd_solve(args, out) -> int:
     graphs = load_graphs(args)
     record = partial(solve_record, variant_code=args.variant,
-                     objective_value=args.objective, opts=solve_options(args))
+                     objective_value=args.objective, max_n=10_000 if args.force else None)
     emit_records(map_jobs(record, graphs, args.jobs), args.format, out)
     return EXIT_OK
 
@@ -344,18 +341,14 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_probe_balance(args, out) -> int:
+    if args.max_n > DEFAULT_MAX_N:  # refuse before sampling any graph
+        raise SolverCapError(f"probe-balance supports --max-n up to {DEFAULT_MAX_N}")
     rng = random.Random(args.seed)
     records = []
     for index in range(args.count):
         n = rng.randint(args.min_n, args.max_n)
         g = random_connected_graph(n, args.p, rng)
-        try:
-            value = game_number(g, "bg")
-        except SolverCapError:
-            records.append(
-                {"index": index, "graph": emit_graph6(g), "n": n, "skipped": True}
-            )
-            continue
+        value = game_number(g, "bg")
         records.append(
             {
                 "index": index,

@@ -232,17 +232,12 @@ def apply_move(state: GameState, move: Move) -> GameState:
     return GameState(n, variant, zero, one | bit, passes)
 
 
-def edge_counts(state: GameState, g: Graph) -> tuple[int, int]:
-    """(e0, e1) over fully labeled positions."""
+def terminal_value(state: GameState, g: Graph, objective: Objective) -> int:
+    """The score of a fully labeled position: cut edges minus uncut edges,
+    taken absolutely under cordiality."""
     if not is_terminal(state):
         raise IllegalMoveError("position is not fully labeled")
-    e1 = cut_size_of_mask(g, state.zero_mask)
-    return g.edge_count - e1, e1
-
-
-def terminal_value(state: GameState, g: Graph, objective: Objective) -> int:
-    e0, e1 = edge_counts(state, g)
-    d = e1 - e0
+    d = 2 * cut_size_of_mask(g, state.zero_mask) - g.edge_count
     return abs(d) if objective is Objective.CORDIALITY else d
 
 

@@ -15,8 +15,7 @@ position, so per-playout structural claims are verified in the same sweep.
 A terminal that fails it scores one past every real score in the
 adversary's favour (``|E| + 1`` against a zero-player strategy,
 ``-|E| - 1`` against a one-player strategy), so the worst case exposes it
-and ``Sweep.line`` leads to it.  ``worst_case_vs_optimal`` and
-``worst_case_line`` are one-call forms of ``Sweep``.
+and ``Sweep.line`` leads to it.
 """
 
 from __future__ import annotations
@@ -69,10 +68,52 @@ class Sweep:
         objective: Objective,
         terminal_check: Callable[[GameState], bool] | None = None,
     ):
-        self._value = _sweep(g, strategy, objective, terminal_check)
+        self._g = g
+        self._objective = objective
+        self._terminal_check = terminal_check
+        self._role = strategy.role
+        self._maximizing = strategy.role.opponent is Player.ONE
+        self._failed = g.edge_count + 1 if self._maximizing else -g.edge_count - 1
+        self._memo: dict[tuple, int] = {}
         self._start = new_game(g, variant)
         self._strategy = strategy
         self.worst = self._value(self._start, strategy, None)
+
+    def _value(self, state: GameState, strat: Strategy, last_move: Move | None) -> int:
+        """The memoized value of ``state`` with ``strat`` to play on."""
+        role = self._role
+        n = self._g.n
+        # the strategy's moves, up to the adversary's turn or the end
+        while True:
+            labeled = (state.zero_mask | state.one_mask).bit_count()
+            if labeled == n:
+                check = self._terminal_check
+                if check is not None and not check(state):
+                    return self._failed
+                return terminal_value(state, self._g, self._objective)
+            if _mover(state, labeled) is not role:
+                break
+            move = strat.choose(state, last_move)
+            if not is_legal(state, move):
+                raise StrategyMoveError(state, move, "not among the legal moves")
+            strat = strat.after(move, role)
+            state = apply_move(state, move)
+            last_move = move
+        memo = self._memo
+        key = (state.zero_mask, state.one_mask, state.passes_used, strat.state_key())
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        adversary = role.opponent
+        maximizing = self._maximizing
+        value = self._value
+        best: int | None = None
+        for move, child in children(state):
+            score = value(child, strat.after(move, adversary), move)
+            if best is None or (score > best if maximizing else score < best):
+                best = score
+        memo[key] = best
+        return best
 
     def line(self) -> list[Move]:
         """One complete move list realizing ``worst``.
@@ -100,66 +141,3 @@ class Sweep:
             state = child
             last = move
         return line
-
-
-def worst_case_vs_optimal(
-    g: Graph,
-    strategy: Strategy,
-    variant: Variant,
-    objective: Objective,
-    terminal_check: Callable[[GameState], bool] | None = None,
-) -> int:
-    """``Sweep(...).worst``: the exact worst value the strategy can be held to."""
-    return Sweep(g, strategy, variant, objective, terminal_check).worst
-
-
-def worst_case_line(
-    g: Graph,
-    strategy: Strategy,
-    variant: Variant,
-    objective: Objective,
-    terminal_check: Callable[[GameState], bool] | None = None,
-) -> tuple[int, list[Move]]:
-    """Worst value plus one complete move list realizing it (``Sweep.line``)."""
-    sweep = Sweep(g, strategy, variant, objective, terminal_check)
-    return sweep.worst, sweep.line()
-
-
-def _sweep(g, strategy, objective, terminal_check):
-    """The memoized ``value(state, strat, last_move)`` of one sweep."""
-    role = strategy.role
-    adversary = role.opponent
-    maximizing = adversary is Player.ONE
-    failed = g.edge_count + 1 if maximizing else -g.edge_count - 1
-    n = g.n
-    memo: dict[tuple, int] = {}
-
-    def value(state: GameState, strat: Strategy, last_move: Move | None) -> int:
-        # the strategy's moves, up to the adversary's turn or the end
-        while True:
-            labeled = (state.zero_mask | state.one_mask).bit_count()
-            if labeled == n:
-                if terminal_check is not None and not terminal_check(state):
-                    return failed
-                return terminal_value(state, g, objective)
-            if _mover(state, labeled) is not role:
-                break
-            move = strat.choose(state, last_move)
-            if not is_legal(state, move):
-                raise StrategyMoveError(state, move, "not among the legal moves")
-            strat = strat.after(move, role)
-            state = apply_move(state, move)
-            last_move = move
-        key = (state.zero_mask, state.one_mask, state.passes_used, strat.state_key())
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best: int | None = None
-        for move, child in children(state):
-            score = value(child, strat.after(move, adversary), move)
-            if best is None or (score > best if maximizing else score < best):
-                best = score
-        memo[key] = best
-        return best
-
-    return value

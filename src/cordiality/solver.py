@@ -11,7 +11,7 @@ value runs it from the least value to |E|.  The principal-line descent
 carries that value down: it plays through ``game.py``'s moves, turn order
 and pass rule, and at each ply runs the loop on each child, in tie-break
 order, only until the child is shown to keep the value or to miss it.
-Options only change how much work is done, never the value.  A position
+The table capacity changes only the work, never the value.  A position
 with two free vertices, or with three and a mover that cannot pass, is
 valued in closed form: it is never probed, stored or counted, so
 ``SolveResult.nodes`` counts only the positions searched through the
@@ -48,7 +48,6 @@ legal move, so lines stay the lowest-index optimal ones.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -68,9 +67,7 @@ from .game import (
 from .graphs import Graph
 
 DEFAULT_MAX_N = 22
-DEFAULT_TABLE_CAPACITY = 4_000_000
-
-ENV_TABLE_CAP = "CORDIALITY_TABLE_CAP"
+TABLE_CAPACITY = 4_000_000
 
 # On a path numbered in path order with at least this many vertices, a key
 # folds with its mirror image.  Measured on a 2 GHz Xeon core, the four game
@@ -102,33 +99,6 @@ class SolverCapError(ValueError):
     """Instance exceeds the configured hard cap."""
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        warnings.warn(f"ignoring non-integer {name}={raw!r}")
-        return fallback
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Search options; none of them affect the returned value."""
-
-    table_capacity: int | None = None  # None: CORDIALITY_TABLE_CAP or default
-    max_n: int | None = None  # None: DEFAULT_MAX_N
-
-    def resolved_capacity(self) -> int:
-        if self.table_capacity is not None:
-            return self.table_capacity
-        return _env_int(ENV_TABLE_CAP, DEFAULT_TABLE_CAPACITY)
-
-    def resolved_max_n(self) -> int:
-        return DEFAULT_MAX_N if self.max_n is None else self.max_n
-
-
 @dataclass(frozen=True)
 class SolveResult:
     value: int
@@ -137,7 +107,7 @@ class SolveResult:
 
 
 class _Searcher:
-    def __init__(self, g: Graph, variant: Variant, objective: Objective, opts: SolveOptions):
+    def __init__(self, g: Graph, variant: Variant, objective: Objective):
         self.g = g
         self.n = g.n
         self.full = g.full_mask
@@ -149,7 +119,7 @@ class _Searcher:
         self.edge_count = g.edge_count
         # the least value any position can have
         self.floor = self.edge_count % 2 if self.cordiality else -self.edge_count
-        self.capacity = opts.resolved_capacity()
+        self.capacity = TABLE_CAPACITY
         self.table: dict[int, int] = {}
         self.reverse = self.n >= _REVERSAL_MIN_N and g.edges == tuple(
             (v, v + 1) for v in range(self.n - 1)
@@ -445,21 +415,22 @@ def solve(
     g: Graph,
     variant: Variant,
     objective: Objective,
-    opts: SolveOptions | None = None,
+    *,
     line: bool = True,
+    max_n: int | None = None,
 ) -> SolveResult:
     """Exact game value and a principal line.
 
     Ties among optimal moves break toward the lowest vertex index, with a
     pass ranked after every label.  With ``line=False`` only the value is
     searched: the principal-line descent is skipped, and the line is empty.
+    ``max_n`` is the vertex cap; ``None`` means ``DEFAULT_MAX_N``.
     """
-    opts = opts or SolveOptions()
-    cap = opts.resolved_max_n()
+    cap = DEFAULT_MAX_N if max_n is None else max_n
     if g.n > cap:
         raise SolverCapError(
             f"graph has {g.n} vertices, above the hard cap {cap}; "
-            "raise SolveOptions.max_n (--force on the command line) to override"
+            "raise max_n (--force on the command line) to override"
         )
     if g.edge_count > _BIAS - 1:
         # past this, a real bound can collide with the table's +-(_BIAS - 1)
@@ -467,7 +438,7 @@ def solve(
         raise SolverCapError(
             f"graph has {g.edge_count} edges, above the {_BIAS - 1} a table entry can hold"
         )
-    searcher = _Searcher(g, variant, objective, opts)
+    searcher = _Searcher(g, variant, objective)
     if g.n == 0:
         return SolveResult(value=0, nodes=0, principal_line=[])
     value = searcher.state_value(0, 0, 0)
@@ -486,7 +457,7 @@ GAME_NUMBERS = {
 }
 
 
-def game_number(g: Graph, which: str, opts: SolveOptions | None = None) -> int:
+def game_number(g: Graph, which: str) -> int:
     """One of the four standard game values.
 
     "cg": cordiality, zero player starts.  "cg_i": cordiality, one player
@@ -497,4 +468,4 @@ def game_number(g: Graph, which: str, opts: SolveOptions | None = None) -> int:
         variant, objective = GAME_NUMBERS[which]
     except KeyError:
         raise ValueError(f"unknown game number {which!r}; pick from {sorted(GAME_NUMBERS)}")
-    return solve(g, variant, objective, opts, line=False).value
+    return solve(g, variant, objective, line=False).value

@@ -16,10 +16,10 @@ import cordiality.solver
 from cordiality import (
     CASE6_WINNING_SETS,
     Objective,
-    SolveOptions,
     ONE_STARTS,
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
+    Sweep,
     balance_maximizer_strategy,
     brute_force_value,
     cut_stats,
@@ -34,9 +34,9 @@ from cordiality import (
     suffix_pair_edge,
     tree_bound,
     tree_strategy,
-    worst_case_vs_optimal,
 )
 from cordiality.oracle import ORACLE_MAX_N
+from cordiality.solver import TABLE_CAPACITY, _REVERSAL_MIN_N
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
 GAME_NUMBER_COMBOS = (
@@ -99,9 +99,7 @@ def test_c04_path_bounds_to_16(solved):
 
 def test_c05_path_strategy_to_15():
     for n in range(3, 16):
-        worst = worst_case_vs_optimal(
-            path_graph(n), path_strategy(n), ZERO_STARTS, Objective.CORDIALITY
-        )
+        worst = Sweep(path_graph(n), path_strategy(n), ZERO_STARTS, Objective.CORDIALITY).worst
         assert worst <= path_bound(n), (n, worst)
         assert worst <= path_bound_mod6(n), (n, worst)
     verdict("path strategy worst case within bounds for 3 <= n <= 15")
@@ -116,9 +114,7 @@ def test_c06_tree_bound_to_10(solved):
             else:
                 value = solve(tree, ZERO_STARTS, Objective.CORDIALITY).value
             assert value <= bound, (n, tree.edges, value)
-            worst = worst_case_vs_optimal(
-                tree, tree_strategy(tree), ZERO_STARTS, Objective.CORDIALITY
-            )
+            worst = Sweep(tree, tree_strategy(tree), ZERO_STARTS, Objective.CORDIALITY).worst
             assert worst <= bound, (n, tree.edges, worst)
     verdict("every tree with 2 <= n <= 10: solved value and strategy worst case within n/2")
 
@@ -156,10 +152,10 @@ def test_c08_balance_to_14(solved):
         def suffix_edge_cut(state, a=a, b=b):
             return bool((state.zero_mask >> a ^ state.zero_mask >> b) & 1)
 
-        worst = worst_case_vs_optimal(
+        worst = Sweep(
             g, balance_maximizer_strategy(n), ZERO_STARTS, Objective.BALANCE,
             terminal_check=suffix_edge_cut,
-        )
+        ).worst
         # a terminal with the suffix edge uncut would score -|E| - 1
         assert 0 <= worst <= g.edge_count, (n, worst)
     verdict("balance values and strategy worst cases non-negative to n=14, suffix edge always 1")
@@ -199,21 +195,20 @@ def test_c12_oracle_equivalence_and_option_independence(full_corpus, monkeypatch
                     g, variant, objective
                 ), (g.edges, variant.code, objective.value)
 
-    option_grid = [
-        SolveOptions(),
-        SolveOptions(table_capacity=0),
-    ]
     spot_checks = [path_graph(n) for n in range(4, 9)]
     spot_checks += enumerate_trees(7)[:4] + [g for g in subjects if not g.is_tree()][:4]
     for g in spot_checks:
         for variant in ALL_VARIANTS:
             for objective in (Objective.CORDIALITY, Objective.BALANCE):
-                values = {solve(g, variant, objective, opts).value for opts in option_grid}
-                # the same grid with path reversal forced on; the spot-check
-                # paths are below the order where the solver turns it on
-                monkeypatch.setattr(cordiality.solver, "_REVERSAL_MIN_N", 1)
-                values |= {solve(g, variant, objective, opts).value for opts in option_grid}
-                monkeypatch.undo()
+                values = set()
+                # path reversal at its own order and forced on (the spot-check
+                # paths are below the order where the solver turns it on),
+                # each with the default table and with the table off
+                for reversal_min_n in (_REVERSAL_MIN_N, 1):
+                    for capacity in (TABLE_CAPACITY, 0):
+                        monkeypatch.setattr(cordiality.solver, "_REVERSAL_MIN_N", reversal_min_n)
+                        monkeypatch.setattr(cordiality.solver, "TABLE_CAPACITY", capacity)
+                        values.add(solve(g, variant, objective).value)
                 assert len(values) == 1, (g.edges, variant.code, objective.value)
     verdict(
         f"solver equals the reference evaluator on {len(subjects)} corpus graphs x 6 "

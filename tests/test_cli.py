@@ -175,18 +175,17 @@ def test_verify_small_paths_honours_max_n():
 def test_verify_failure_exits_one_with_witness(monkeypatch):
     # force an unattainable claimed bound so the fixture must fail
     import cordiality.cli as cli_module
-    import cordiality.harness as harness_module
 
     monkeypatch.setattr(cli_module, "path_bound", lambda n: -1)
     monkeypatch.setattr(cli_module, "path_bound_mod6", lambda n: -1)
     sweeps = []
-    real_sweep = harness_module._sweep
 
-    def counted_sweep(g, *args):
-        sweeps.append(emit_graph6(g))
-        return real_sweep(g, *args)
+    class CountedSweep(cli_module.Sweep):
+        def __init__(self, g, *args):
+            sweeps.append(emit_graph6(g))
+            super().__init__(g, *args)
 
-    monkeypatch.setattr(harness_module, "_sweep", counted_sweep)
+    monkeypatch.setattr(cli_module, "Sweep", CountedSweep)
     code, text = run_cli(["verify", "path-bound", "--max-n", "6"])
     assert code == 1
     records = jsonl(text)
@@ -341,6 +340,16 @@ def test_probe_balance_p_outside_unit_interval_is_refused(monkeypatch):
         with pytest.raises(SystemExit) as exc:
             run_cli(["probe-balance", "--p", p])
         assert exc.value.code == 2, p
+
+
+def test_probe_balance_refuses_max_n_past_the_solver_cap_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a graph was sampled")
+
+    monkeypatch.setattr(cli, "random_connected_graph", no_sampling)
+    code, text = run_cli(["probe-balance", "--max-n", "23"])
+    assert (code, text) == (3, "")
+    assert "supports --max-n up to 22" in capsys.readouterr().err
 
 
 def test_inverted_order_ranges_are_refused(monkeypatch, capsys):

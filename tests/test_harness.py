@@ -1,5 +1,7 @@
 """The strategy harness against a memo-free reference, and its legality check."""
 
+import gc
+
 import pytest
 
 from cordiality import (
@@ -11,6 +13,7 @@ from cordiality import (
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
     StrategyMoveError,
+    Sweep,
     apply_move,
     balance_maximizer_strategy,
     enumerate_trees,
@@ -22,8 +25,6 @@ from cordiality import (
     terminal_value,
     to_move,
     tree_strategy,
-    worst_case_line,
-    worst_case_vs_optimal,
 )
 from cordiality.strategies import Strategy
 
@@ -70,7 +71,7 @@ def reference_worst(g, strategy, variant, objective, terminal_check=None):
 
 def assert_memo_sound(g, strategy, variant, objective, terminal_check=None):
     expected = reference_worst(g, strategy, variant, objective, terminal_check)
-    got = worst_case_vs_optimal(g, strategy, variant, objective, terminal_check=terminal_check)
+    got = Sweep(g, strategy, variant, objective, terminal_check=terminal_check).worst
     assert got == expected
 
 
@@ -116,13 +117,27 @@ def test_failing_terminal_check_scores_past_every_score():
     expected = reference_worst(g, strategy, ZERO_STARTS, Objective.BALANCE, edge_12_cut)
     assert expected == -g.edge_count - 1
     assert_memo_sound(g, strategy, ZERO_STARTS, Objective.BALANCE, edge_12_cut)
-    value, line = worst_case_line(g, strategy, ZERO_STARTS, Objective.BALANCE, edge_12_cut)
+    sweep = Sweep(g, strategy, ZERO_STARTS, Objective.BALANCE, edge_12_cut)
+    value, line = sweep.worst, sweep.line()
     assert value == expected
     state = new_game(g, ZERO_STARTS)
     for move in line:
         assert move in legal_moves(state)
         state = apply_move(state, move)
     assert is_terminal(state) and not edge_12_cut(state)
+
+
+def test_finished_sweep_is_freed_without_the_cyclic_collector():
+    # a sweep holds no reference cycle, so dropping it frees its memo at once
+    gc.collect()
+    gc.disable()
+    try:
+        sweep = Sweep(path_graph(12), path_strategy(12), ZERO_STARTS, Objective.CORDIALITY)
+        assert len(sweep.line()) == 12
+        del sweep
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- the legality check on strategy moves -------------------------------------
@@ -166,7 +181,7 @@ def test_illegal_strategy_move_raises(case):
     role, variant, n, pick, bad = ILLEGAL_STUBS[case]
     objective = Objective.CORDIALITY
     with pytest.raises(StrategyMoveError) as info:
-        worst_case_vs_optimal(path_graph(n), _Stub(role, pick), variant, objective)
+        Sweep(path_graph(n), _Stub(role, pick), variant, objective)
     assert info.value.move == bad
     assert bad not in legal_moves(info.value.state)
     assert "not among the legal moves" in str(info.value)

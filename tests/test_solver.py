@@ -8,7 +8,6 @@ from cordiality import (
     PASS,
     Move,
     Objective,
-    SolveOptions,
     SolverCapError,
     ONE_STARTS,
     ONE_STARTS_WITH_PASS,
@@ -29,7 +28,7 @@ from cordiality import (
     terminal_value,
 )
 from cordiality.game import replay
-from cordiality.solver import _Searcher
+from cordiality.solver import TABLE_CAPACITY, _REVERSAL_MIN_N, _Searcher
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
 
@@ -78,19 +77,18 @@ def test_game_number_dispatch():
 
 
 def test_option_independence_small(monkeypatch):
-    grids = [
-        SolveOptions(),
-        SolveOptions(table_capacity=0),
-    ]
     for n in (5, 6, 7):
         g = path_graph(n)
         for variant in ALL_VARIANTS:
             for objective in (Objective.CORDIALITY, Objective.BALANCE):
-                values = {solve(g, variant, objective, opts).value for opts in grids}
-                # the same grid with path reversal forced on at every order
-                monkeypatch.setattr(cordiality.solver, "_REVERSAL_MIN_N", 1)
-                values |= {solve(g, variant, objective, opts).value for opts in grids}
-                monkeypatch.undo()
+                values = set()
+                # path reversal at its own order and forced on at every order,
+                # each with the default table and with the table off
+                for reversal_min_n in (_REVERSAL_MIN_N, 1):
+                    for capacity in (TABLE_CAPACITY, 0):
+                        monkeypatch.setattr(cordiality.solver, "_REVERSAL_MIN_N", reversal_min_n)
+                        monkeypatch.setattr(cordiality.solver, "TABLE_CAPACITY", capacity)
+                        values.add(solve(g, variant, objective).value)
                 assert len(values) == 1
 
 
@@ -127,12 +125,12 @@ def test_hard_cap_refusal_and_env(monkeypatch):
     with pytest.raises(SolverCapError):
         solve(path_graph(23), ZERO_STARTS, Objective.CORDIALITY)
     with pytest.raises(SolverCapError):
-        solve(path_graph(5), ZERO_STARTS, Objective.CORDIALITY, SolveOptions(max_n=4))
-    assert solve(path_graph(5), ZERO_STARTS, Objective.CORDIALITY, SolveOptions(max_n=6)).value == 2
-    monkeypatch.setenv("CORDIALITY_TABLE_CAP", "1")
+        solve(path_graph(5), ZERO_STARTS, Objective.CORDIALITY, max_n=4)
+    assert solve(path_graph(5), ZERO_STARTS, Objective.CORDIALITY, max_n=6).value == 2
+    monkeypatch.setattr(cordiality.solver, "TABLE_CAPACITY", 1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = solve(path_graph(6), ZERO_STARTS, Objective.CORDIALITY, SolveOptions(max_n=22)).value
+        value = solve(path_graph(6), ZERO_STARTS, Objective.CORDIALITY, max_n=22).value
     assert value == 1
     assert any("capacity" in str(w.message) for w in caught)
 
@@ -203,11 +201,10 @@ def test_edge_cap_matches_table_entry_range(monkeypatch):
 
     monkeypatch.setattr(cordiality.solver, "_Searcher", reached)
     clique = [(u, v) for u in range(33) for v in range(u + 1, 33)]  # 528 edges
-    opts = SolveOptions(max_n=10_000)
     with pytest.raises(Reached):  # 511 edges: the sentinels are still valid bounds
-        solve(from_edges(33, clique[:511]), ZERO_STARTS, Objective.CORDIALITY, opts)
+        solve(from_edges(33, clique[:511]), ZERO_STARTS, Objective.CORDIALITY, max_n=10_000)
     with pytest.raises(SolverCapError, match="512 edges"):
-        solve(from_edges(33, clique[:512]), ZERO_STARTS, Objective.CORDIALITY, opts)
+        solve(from_edges(33, clique[:512]), ZERO_STARTS, Objective.CORDIALITY, max_n=10_000)
 
 
 def _reachable_positions(g, variant, free_counts):
@@ -250,7 +247,7 @@ def test_endgame_closed_form_matches_plain_recursion():
                 free_count = g.n - (state.zero_mask | state.one_mask).bit_count()
                 one_may_pass_at_three += free_count == 3 and PASS in legal_moves(state)
             for objective in (Objective.CORDIALITY, Objective.BALANCE):
-                searcher = _Searcher(g, variant, objective, SolveOptions())
+                searcher = _Searcher(g, variant, objective)
                 reference = position_values(g, variant, objective)
                 for _, _, zero, one, passes in states:
                     value = reference(zero, one, passes)
@@ -280,7 +277,7 @@ def _reference_line(g, variant, objective):
     return value, line
 
 
-def test_principal_line_is_lowest_index_optimal_line():
+def test_principal_line_is_lowest_index_optimal_line(monkeypatch):
     rng = random.Random(1618)
     graphs = [tree for n in range(1, 8) for tree in enumerate_trees(n)]
     graphs += [random_connected_graph(n, 0.5, rng) for n in (5, 6, 7, 7)]
@@ -297,8 +294,9 @@ def test_principal_line_is_lowest_index_optimal_line():
         for variant in ALL_VARIANTS:
             for objective in objectives:
                 value, line = _reference_line(g, variant, objective)
-                for opts in (SolveOptions(), SolveOptions(table_capacity=0)):
-                    result = solve(g, variant, objective, opts)
+                for capacity in (TABLE_CAPACITY, 0):  # the default table, then none
+                    monkeypatch.setattr(cordiality.solver, "TABLE_CAPACITY", capacity)
+                    result = solve(g, variant, objective)
                     assert (result.value, result.principal_line) == (value, line), (
-                        g.edges, variant.code, objective.value, opts
+                        g.edges, variant.code, objective.value, capacity
                     )

@@ -11,6 +11,7 @@ from cordiality import (
     ONE_STARTS,
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
+    Sweep,
     apply_move,
     balance_maximizer_strategy,
     enumerate_trees,
@@ -29,8 +30,6 @@ from cordiality import (
     to_move,
     tree_bound,
     tree_strategy,
-    worst_case_line,
-    worst_case_vs_optimal,
 )
 from cordiality.branching import arm_components
 from cordiality.game import GameState
@@ -48,9 +47,7 @@ def test_small_scripts_meet_their_values():
     targets = {3: 0, 4: 1, 5: 2, 6: 1}
     for n, target in targets.items():
         for variant in ALL_VARIANTS:
-            worst = worst_case_vs_optimal(
-                path_graph(n), path_strategy(n), variant, Objective.CORDIALITY
-            )
+            worst = Sweep(path_graph(n), path_strategy(n), variant, Objective.CORDIALITY).worst
             assert worst <= target, (n, variant.code, worst)
 
 
@@ -96,9 +93,7 @@ def test_path4_script_secures_one_label_per_class():
 
 @pytest.mark.parametrize("n", range(3, 16))
 def test_path_strategy_meets_bounds(n):
-    worst = worst_case_vs_optimal(
-        path_graph(n), path_strategy(n), ZERO_STARTS, Objective.CORDIALITY
-    )
+    worst = Sweep(path_graph(n), path_strategy(n), ZERO_STARTS, Objective.CORDIALITY).worst
     assert worst <= path_bound(n)
     assert worst <= path_bound_mod6(n)
 
@@ -182,8 +177,7 @@ def test_case6_script_always_lands_in_winning_sets():
         return state.zero_mask in winning
 
     for variant in ALL_VARIANTS:
-        worst = worst_case_vs_optimal(g, script, variant, Objective.CORDIALITY,
-                                      terminal_check=check)
+        worst = Sweep(g, script, variant, Objective.CORDIALITY, terminal_check=check).worst
         assert abs(worst) <= g.edge_count, (variant.code, worst)  # no terminal failed
 
 
@@ -193,9 +187,7 @@ def test_case6_script_always_lands_in_winning_sets():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_tree_strategy_meets_bound(n):
     for tree in enumerate_trees(n):
-        worst = worst_case_vs_optimal(
-            tree, tree_strategy(tree), ZERO_STARTS, Objective.CORDIALITY
-        )
+        worst = Sweep(tree, tree_strategy(tree), ZERO_STARTS, Objective.CORDIALITY).worst
         assert worst <= tree_bound(n), (n, tree.edges, worst)
 
 
@@ -209,9 +201,9 @@ def test_case2_branch_edges_always_differ():
     def check(state):
         return bool((state.zero_mask >> v1 ^ state.zero_mask >> v2) & 1)
 
-    worst = worst_case_vs_optimal(
+    worst = Sweep(
         g, tree_strategy(g), ZERO_STARTS, Objective.CORDIALITY, terminal_check=check
-    )
+    ).worst
     assert abs(worst) <= g.edge_count, worst  # no terminal failed
 
 
@@ -256,20 +248,16 @@ def test_balance_strategy_nonnegative_with_suffix_edge(n):
     def check(state):
         return bool((state.zero_mask >> a ^ state.zero_mask >> b) & 1)
 
-    worst = worst_case_vs_optimal(
+    worst = Sweep(
         g, balance_maximizer_strategy(n), ZERO_STARTS, Objective.BALANCE, terminal_check=check
-    )
+    ).worst
     assert 0 <= worst <= g.edge_count  # the lower end also shows that no terminal failed
 
 
 def test_balance_strategy_small_cases():
     # on the 2-path the reply is forced and the value is exactly 1
-    assert (
-        worst_case_vs_optimal(
-            path_graph(2), balance_maximizer_strategy(2), ZERO_STARTS, Objective.BALANCE
-        )
-        == 1
-    )
+    sweep = Sweep(path_graph(2), balance_maximizer_strategy(2), ZERO_STARTS, Objective.BALANCE)
+    assert sweep.worst == 1
 
 
 # -- the territory rule -------------------------------------------------------
@@ -319,7 +307,7 @@ def test_cached_split_moves_equal_fresh_script_moves(monkeypatch):
     cases += [(path_graph(n), path_strategy(n)) for n in range(3, 13)]
     for g, strategy in cases:
         for variant in (ZERO_STARTS, ONE_STARTS):
-            worst_case_vs_optimal(g, strategy, variant, Objective.CORDIALITY)
+            Sweep(g, strategy, variant, Objective.CORDIALITY)
     assert hits > 0 and decisions > hits
 
 
@@ -329,17 +317,15 @@ def test_cached_split_moves_equal_fresh_script_moves(monkeypatch):
 def test_worst_case_never_beats_the_optimum(solved):
     for n in range(3, 10):
         g = path_graph(n)
-        worst = worst_case_vs_optimal(g, path_strategy(n), ZERO_STARTS, Objective.CORDIALITY)
+        worst = Sweep(g, path_strategy(n), ZERO_STARTS, Objective.CORDIALITY).worst
         assert worst >= solved(g, "cg")
     for n in range(2, 10):
         g = path_graph(n)
-        worst = worst_case_vs_optimal(
-            g, balance_maximizer_strategy(n), ZERO_STARTS, Objective.BALANCE
-        )
+        worst = Sweep(g, balance_maximizer_strategy(n), ZERO_STARTS, Objective.BALANCE).worst
         assert worst <= solved(g, "bg")
 
 
-def test_worst_case_line_is_a_legal_witness():
+def test_sweep_line_is_a_legal_witness():
     # each line is legal, ends at a terminal scoring the returned value, and
     # that value is the sweep's worst case
     cases = [(path_graph(9), path_strategy(9), ZERO_STARTS, Objective.CORDIALITY),
@@ -348,14 +334,15 @@ def test_worst_case_line_is_a_legal_witness():
     cases += [(t, tree_strategy(t), ZERO_STARTS, Objective.CORDIALITY) for t in enumerate_trees(8)]
     assert len(cases) == 3 + 23
     for g, strategy, variant, objective in cases:
-        value, line = worst_case_line(g, strategy, variant, objective)
+        sweep = Sweep(g, strategy, variant, objective)
+        value, line = sweep.worst, sweep.line()
         state = new_game(g, variant)
         for move in line:
             assert move in legal_moves(state)
             state = apply_move(state, move)
         assert is_terminal(state)
         assert terminal_value(state, g, objective) == value
-        assert value == worst_case_vs_optimal(g, strategy, variant, objective)
+        assert value == Sweep(g, strategy, variant, objective).worst
 
 
 def test_strategies_stay_legal_under_random_play():
