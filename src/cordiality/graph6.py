@@ -15,10 +15,12 @@ _OFFSET = 63
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 input; ``offset`` is the failing byte position."""
+    """Malformed graph6 input; ``reason`` is the message without the byte
+    position, ``offset`` the failing byte position."""
 
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message if offset is None else f"{message} (byte {offset})")
+        self.reason = message
         self.offset = offset
 
 
@@ -99,7 +101,7 @@ def parse_graph6_file(text: str) -> list[Graph]:
         try:
             graphs.append(parse_graph6(line))
         except Graph6Error as exc:
-            raise Graph6Error(f"line {lineno}: {exc}", exc.offset) from exc
+            raise Graph6Error(f"line {lineno}: {exc.reason}", exc.offset) from exc
     return graphs
 
 

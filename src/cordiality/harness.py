@@ -5,10 +5,18 @@ of the other side, so its ``worst`` is the exact worst value the strategy
 can be held to (the adversary maximizes against a zero-player strategy and
 minimizes against a one-player strategy).  Positions are memoized together
 with the strategy's internal state key, which makes the search collapse
-across move-order interleavings.  Each position's labelled vertices are
-counted once, and the mover comes from ``game._mover``, the one copy of the
-turn rule.  The adversary's replies come from ``game.children``; a strategy
-move must pass ``is_legal`` or the sweep raises ``StrategyMoveError``.
+across move-order interleavings; ``Sweep.entries`` counts the memo's
+positions.
+
+The recursion runs on plain ints: the two label masks, the passes spent,
+the labelled count and the running count of cut edges, which each label
+move raises by the new vertex's neighbours holding the other label.  A
+terminal scores ``2 * cut - |E|`` (taken absolutely under cordiality).  The
+adversary's replies come from walking the free mask, with the shared
+``Move.label`` instances, under ``game``'s turn and pass rules.  A
+``GameState`` is built only for the strategy's ``choose``, the ``is_legal``
+check on its move (an illegal one raises ``StrategyMoveError``) and the
+terminal check.
 
 An optional terminal check is a predicate on every reachable final
 position, so per-playout structural claims are verified in the same sweep.
@@ -23,6 +31,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .game import (
+    PASS,
     GameState,
     Move,
     Objective,
@@ -34,10 +43,9 @@ from .game import (
     is_legal,
     is_terminal,
     new_game,
-    terminal_value,
     to_move,
 )
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 from .strategies import Strategy
 
 
@@ -68,52 +76,109 @@ class Sweep:
         objective: Objective,
         terminal_check: Callable[[GameState], bool] | None = None,
     ):
-        self._g = g
-        self._objective = objective
+        self._n = g.n
+        self._adj = g.adj
+        self._edges = g.edge_count
+        self._variant = variant
+        self._absolute = objective is Objective.CORDIALITY
         self._terminal_check = terminal_check
-        self._role = strategy.role
-        self._maximizing = strategy.role.opponent is Player.ONE
+        role = self._role = strategy.role
+        self._role_labels_zero = role is Player.ZERO
+        self._maximizing = role.opponent is Player.ONE
         self._failed = g.edge_count + 1 if self._maximizing else -g.edge_count - 1
-        self._memo: dict[tuple, int] = {}
         self._start = new_game(g, variant)
+        # the strategy moves when labelled + passes has this parity
+        self._role_parity = 0 if _mover(self._start, 0) is role else 1
+        # only the one player may pass, so only a zero-player strategy's
+        # adversary holds the variant's passes
+        self._adversary_passes = variant.pass_budget if role is Player.ZERO else 0
+        self._labels = tuple(Move.label(v) for v in range(g.n))
+        self._memo: dict[tuple, int] = {}
         self._strategy = strategy
-        self.worst = self._value(self._start, strategy, None)
+        self.worst = self._value(0, 0, 0, 0, 0, strategy, None)
 
-    def _value(self, state: GameState, strat: Strategy, last_move: Move | None) -> int:
-        """The memoized value of ``state`` with ``strat`` to play on."""
-        role = self._role
-        n = self._g.n
+    @property
+    def entries(self) -> int:
+        """The number of memoized positions: the sweep's work count."""
+        return len(self._memo)
+
+    def _value(self, zero: int, one: int, passes: int, labeled: int, cross: int,
+               strat: Strategy, last_move: Move | None) -> int:
+        """The memoized value of the position ``(zero, one, passes)``, with
+        ``labeled`` vertices labelled and ``cross`` edges cut, and ``strat``
+        to play on."""
+        n = self._n
+        adj = self._adj
         # the strategy's moves, up to the adversary's turn or the end
         while True:
-            labeled = (state.zero_mask | state.one_mask).bit_count()
             if labeled == n:
                 check = self._terminal_check
-                if check is not None and not check(state):
+                if check is not None and not check(GameState(n, self._variant, zero, one, passes)):
                     return self._failed
-                return terminal_value(state, self._g, self._objective)
-            if _mover(state, labeled) is not role:
+                d = 2 * cross - self._edges
+                return abs(d) if self._absolute else d
+            if (labeled + passes) & 1 != self._role_parity:
                 break
+            state = GameState(n, self._variant, zero, one, passes)
             move = strat.choose(state, last_move)
             if not is_legal(state, move):
                 raise StrategyMoveError(state, move, "not among the legal moves")
-            strat = strat.after(move, role)
-            state = apply_move(state, move)
+            strat = strat.after(move, self._role)
+            v = move.vertex
+            if v is None:
+                passes += 1
+            elif self._role_labels_zero:
+                cross += (adj[v] & one).bit_count()
+                zero |= 1 << v
+                labeled += 1
+            else:
+                cross += (adj[v] & zero).bit_count()
+                one |= 1 << v
+                labeled += 1
             last_move = move
         memo = self._memo
-        key = (state.zero_mask, state.one_mask, state.passes_used, strat.state_key())
+        key = (passes << 2 * n | one << n | zero, strat.state_key())
         cached = memo.get(key)
         if cached is not None:
             return cached
-        adversary = role.opponent
+        adversary = self._role.opponent
         maximizing = self._maximizing
         value = self._value
+        labels = self._labels
+        free = ((1 << n) - 1) & ~(zero | one)
+        adversary_labels_zero = not self._role_labels_zero
         best: int | None = None
-        for move, child in children(state):
-            score = value(child, strat.after(move, adversary), move)
+        while free:
+            bit = free & -free
+            free ^= bit
+            v = bit.bit_length() - 1
+            move = labels[v]
+            if adversary_labels_zero:
+                score = value(zero | bit, one, passes, labeled + 1,
+                              cross + (adj[v] & one).bit_count(),
+                              strat.after(move, adversary), move)
+            else:
+                score = value(zero, one | bit, passes, labeled + 1,
+                              cross + (adj[v] & zero).bit_count(),
+                              strat.after(move, adversary), move)
             if best is None or (score > best if maximizing else score < best):
+                best = score
+        # the pass rule: budget left and at least two free vertices
+        if passes < self._adversary_passes and n - labeled >= 2:
+            score = value(zero, one, passes + 1, labeled, cross,
+                          strat.after(PASS, adversary), PASS)
+            if score > best if maximizing else score < best:
                 best = score
         memo[key] = best
         return best
+
+    def _value_at(self, state: GameState, strat: Strategy, last_move: Move | None) -> int:
+        """``_value`` of a ``GameState``."""
+        zero, one = state.zero_mask, state.one_mask
+        adj = self._adj
+        cross = sum((adj[v] & zero).bit_count() for v in iter_bits(one))
+        return self._value(zero, one, state.passes_used, (zero | one).bit_count(), cross,
+                           strat, last_move)
 
     def line(self) -> list[Move]:
         """One complete move list realizing ``worst``.
@@ -122,7 +187,7 @@ class Sweep:
         keeps the position's memoized value.  Under a ``terminal_check``
         that fails somewhere, the line ends on a failing terminal.
         """
-        value = self._value
+        value = self._value_at
         state = self._start
         strat = self._strategy
         line: list[Move] = []

@@ -349,18 +349,25 @@ class SplitStrategy(Strategy):
         self.role = role
         self._masks = tuple(vertex_mask(part.verts) for part in self.parts)
         self._part_of = {v: k for k, part in enumerate(self.parts) for v in part.verts}
+        # the vertices whose part's script overrides ``after``; a move on any
+        # other vertex changes nothing the strategy remembers
+        self._stateful = vertex_mask(v for part in self.parts
+                                     if type(part).after is not Strategy.after
+                                     for v in part.verts)
         self._key = tuple(part.state_key() for part in self.parts)
-        # part k's move by (k, its zero labels, its one labels, last move,
-        # its state key): everything its script reads.  Copies share it.
+        # part k's move by (k, its zero labels, its one labels, the last
+        # move's vertex, its state key): everything its script reads.
+        # Copies share it.
         self._moves: dict[tuple, Move] = {}
 
     def state_key(self):
         return self._key
 
     def after(self, move, mover):
-        if move.is_pass:
+        v = move.vertex
+        if v is None or not self._stateful >> v & 1:
             return self
-        k = self._part_of[move.vertex]
+        k = self._part_of[v]
         part = self.parts[k].after(move, mover)
         if part is self.parts[k]:
             return self
@@ -393,7 +400,7 @@ class SplitStrategy(Strategy):
 
     def _part_move(self, k: int, state: GameState, last_move: Move) -> Move:
         mask = self._masks[k]
-        key = (k, state.zero_mask & mask, state.one_mask & mask, last_move, self._key[k])
+        key = (k, state.zero_mask & mask, state.one_mask & mask, last_move.vertex, self._key[k])
         move = self._moves.get(key)
         if move is None:
             move = self._moves[key] = self.parts[k].choose(state, last_move)

@@ -224,6 +224,23 @@ def test_verify_output_is_pinned():
     assert digest == "677a71c22d17fe2cdedfa0442c90c3378e992d90a280e5524e46533c494f6d41"
 
 
+def test_verify_all_sweep_work_is_pinned(monkeypatch):
+    # The memo entries summed over every sweep of ``verify all --max-n 10``:
+    # deterministic and machine-independent, so a change to the sweep that
+    # merges or splits positions shows here.
+    entries = []
+
+    class CountedSweep(cli.Sweep):
+        def __init__(self, *args):
+            super().__init__(*args)
+            entries.append(self.entries)
+
+    monkeypatch.setattr(cli, "Sweep", CountedSweep)
+    assert main(["verify", "all", "--max-n", "10"], out=io.StringIO()) == 0
+    assert len(entries) == 229
+    assert sum(entries) == 23934
+
+
 def test_probe_balance_deterministic_and_nonnegative():
     args = ["probe-balance", "--count", "8", "--max-n", "7", "--seed", "11"]
     code1, first = run_cli(args)

@@ -9,6 +9,7 @@ from cordiality import (
     from_edges,
     parse_edge_list,
     parse_graph6,
+    parse_graph6_file,
     path_graph,
 )
 
@@ -60,6 +61,16 @@ def test_parse_errors_carry_offsets():
         parse_graph6(emit_graph6(path_graph(5)) + "AA")  # trailing data
     with pytest.raises(Graph6Error):
         parse_graph6("")
+
+
+def test_file_errors_name_the_line_and_the_byte_once():
+    with pytest.raises(Graph6Error) as err:
+        parse_graph6_file("A_\nE\n")  # line 2 is truncated for n = 6
+    assert err.value.offset == 1
+    assert str(err.value) == "line 2: truncated bit vector: need 3 data bytes, got 0 (byte 1)"
+    with pytest.raises(Graph6Error) as err:
+        parse_graph6_file("E")
+    assert str(err.value).count("(byte") == 1
 
 
 def test_edge_list_parsing():

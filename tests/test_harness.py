@@ -89,14 +89,19 @@ def test_memo_sound_path_strategy(variant):
         assert_memo_sound(path_graph(n), path_strategy(n), variant, Objective.CORDIALITY)
 
 
-@pytest.mark.parametrize("variant", PASS_FREE, ids=lambda v: v.code)
-def test_memo_sound_tree_strategy(variant):
+# zero-starts reaches every tree that ``verify all --max-n 10`` sweeps
+@pytest.mark.parametrize("variant, max_n, count", [
+    # 1, 1, 1, 2, 3, 6, 11, 23, 47, 106 trees on 1..10 vertices
+    pytest.param(ZERO_STARTS, 10, 201, id="A"),
+    pytest.param(ONE_STARTS, 8, 48, id="I"),
+])
+def test_memo_sound_tree_strategy(variant, max_n, count):
     checked = 0
-    for n in range(1, 9):
+    for n in range(1, max_n + 1):
         for t in enumerate_trees(n):
             assert_memo_sound(t, tree_strategy(t), variant, Objective.CORDIALITY)
             checked += 1
-    assert checked == 48  # 1, 1, 1, 2, 3, 6, 11, 23 trees on 1..8 vertices
+    assert checked == count
 
 
 def test_memo_sound_balance_strategy():
