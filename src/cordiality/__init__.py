@@ -23,25 +23,20 @@ from .game import (
 )
 from .graph6 import Graph6Error, emit_graph6, parse_edge_list, parse_graph6, parse_graph6_file
 from .graphs import (
-    CutStats,
     Graph,
     GraphError,
-    cut_stats,
     from_edges,
-    is_balanced_bipartition,
-    is_cordial_labeling,
     path_graph,
     random_connected_graph,
     spider_graph,
     star_graph,
 )
-from .branching import BranchDecomposition, PathComponents, arm_components, find_branch
+from .branching import BranchDecomposition, arm_components, find_branch
 from .harness import StrategyMoveError, Sweep
 from .makerbreaker import (
     SetFamily,
     export_hypergraph,
     maker_breaker_value,
-    parse_hypergraph,
     winning_family,
 )
 from .oracle import brute_force_value, position_values

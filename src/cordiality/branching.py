@@ -34,18 +34,6 @@ from .trees import NonTreeError
 
 
 @dataclass(frozen=True)
-class PathComponents:
-    """Dangling path arms around u: components of T - u with no branching."""
-
-    u: int
-    components: tuple[tuple[int, ...], ...]  # each ordered from u outward
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.components)
-
-
-@dataclass(frozen=True)
 class BranchDecomposition:
     case_id: int
     attach: int  # v, shared by branch and remainder
@@ -64,12 +52,13 @@ def _check_subtree(g: Graph, mask: int) -> None:
         raise NonTreeError("vertex set does not induce a connected subgraph")
 
 
-def arm_components(g: Graph, mask: int, u: int) -> PathComponents:
+def arm_components(g: Graph, mask: int, u: int) -> tuple[tuple[int, ...], ...]:
     """Arms around u: branch-free components of the subtree ``mask`` minus u.
 
-    Each arm is reported from the u-adjacent vertex outward.  Components
-    containing another branch vertex (the stem direction) are left out:
-    they are exactly the ones that are not a path starting next to u.
+    Each arm is reported from the u-adjacent vertex outward, and the arms
+    are sorted.  Components containing another branch vertex (the stem
+    direction) are left out: they are exactly the ones that are not a path
+    starting next to u.
     """
     rest = mask & ~(1 << u)
     arms = []
@@ -78,17 +67,17 @@ def arm_components(g: Graph, mask: int, u: int) -> PathComponents:
         if arm is not None:
             arms.append(arm)
     arms.sort()
-    return PathComponents(u=u, components=tuple(arms))
+    return tuple(arms)
 
 
-def _pick_center(g: Graph, mask: int) -> PathComponents:
-    """Arms of the lowest-index branch vertex with at most one branching direction."""
+def _pick_center(g: Graph, mask: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The lowest-index branch vertex with at most one branching direction, and its arms."""
     for u in iter_bits(mask):
         degree = (g.adj[u] & mask).bit_count()
         if degree >= 3:
             arms = arm_components(g, mask, u)
-            if degree - len(arms.components) <= 1:
-                return arms
+            if degree - len(arms) <= 1:
+                return u, arms
     # a tree with a branch vertex always has one whose other branch
     # vertices all lie in one direction, so only branch-free trees get here
     raise NonTreeError("tree has no vertex of degree 3 or more")
@@ -97,8 +86,7 @@ def _pick_center(g: Graph, mask: int) -> PathComponents:
 def find_branch_in(g: Graph, mask: int) -> BranchDecomposition:
     """Decompose the subtree induced by the vertex bitmask ``mask``; see module docstring."""
     _check_subtree(g, mask)
-    center = _pick_center(g, mask)
-    u, arms = center.u, center.components
+    u, arms = _pick_center(g, mask)
 
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for arm in arms:

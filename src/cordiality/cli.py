@@ -376,14 +376,13 @@ def cmd_mb(args, out) -> int:
         if args.family_k is not None:
             out.write(export_hypergraph(winning_family(g, args.family_k, objective)))
             continue
-        mb = maker_breaker_value(g, variant, objective, exact_membership=args.semantics == "exact")
+        mb = maker_breaker_value(g, variant, objective)
         sv = solve(g, variant, objective, line=False).value
         records.append(
             {
                 "graph": emit_graph6(g),
                 "variant": args.variant,
                 "objective": args.objective,
-                "semantics": args.semantics,
                 "mb_value": mb,
                 "game_value": sv,
                 "match": mb == sv,
@@ -423,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--jobs", type=positive_int, default=1,
                          help="spread the input graphs across this many processes")
     p_solve.add_argument("--force", dest="force", action="store_true",
-                         help="lift the vertex-count cap for this run")
+                         help="lift the vertex-count cap to 10000 for this run; the search "
+                              "has no node or time budget, so a large graph may not finish")
     p_solve.set_defaults(func=cmd_solve)
 
     p_table = sub.add_parser("table", help="value table for paths")
@@ -449,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mb = sub.add_parser("mb", help="maker-breaker value vs. game value, or family export")
     add_common(p_mb)
-    p_mb.add_argument("--semantics", choices=["exact", "superset"], default="exact")
     p_mb.add_argument("--family-k", type=int, default=None,
                       help="export the winning family at this threshold instead of solving")
     p_mb.set_defaults(func=cmd_mb)

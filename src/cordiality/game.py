@@ -248,21 +248,3 @@ def replay(g: Graph, variant: Variant, moves: Iterable[Move]) -> GameState:
         state = apply_move(state, move)
     return state
 
-
-def transcript(g: Graph, variant: Variant, moves: list[Move], objective: Objective) -> dict:
-    """JSON-friendly record of a full game for replay and debugging."""
-    state = new_game(g, variant)
-    entries = []
-    for move in moves:
-        entries.append({"player": to_move(state).value, "move": move.to_json()})
-        state = apply_move(state, move)
-    record: dict = {"variant": variant.code, "moves": entries}
-    if is_terminal(state):
-        labels = {}
-        zero = state.zero_mask
-        for u, v in g.edges:
-            labels[f"{u}-{v}"] = (zero >> u ^ zero >> v) & 1
-        record["value"] = terminal_value(state, g, objective)
-        record["objective"] = objective.value
-        record["edge_labels"] = labels
-    return record

@@ -1,9 +1,11 @@
-"""Immutable simple undirected graphs and cut/labeling arithmetic.
+"""Immutable simple undirected graphs, generators and the cut count.
 
 Vertex sets are bitmasks (bit i is vertex i).  ``component`` and
 ``path_walk`` are the one flood fill and the one path walk inside such a
 mask; connectivity checks, the branch decomposition and the strategies'
-territories all use them.
+territories all use them.  ``cut_size_of_mask`` is the one cut count: a
+labelling's zero side as a mask gives its label-1 (cut) edges, and the
+signed score 2*cut - |E|.
 """
 
 from __future__ import annotations
@@ -50,9 +52,6 @@ class Graph:
     def neighbors(self, v: int) -> Iterator[int]:
         return iter_bits(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1) if 0 <= v < self.n else False
-
     def is_connected(self) -> bool:
         return self.n <= 1 or component(self, self.full_mask, 0) == self.full_mask
 
@@ -60,8 +59,6 @@ class Graph:
         return self.n >= 1 and len(self.edges) == self.n - 1 and self.is_connected()
 
     def is_path(self) -> bool:
-        if self.n == 0:
-            return False
         return self.is_tree() and all(self.degree(v) <= 2 for v in range(self.n))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -168,21 +165,6 @@ def spider_graph(leg_lengths: Sequence[int]) -> Graph:
     return from_edges(nxt, edges)
 
 
-@dataclass(frozen=True)
-class CutStats:
-    """Edge counts induced by a 0/1 vertex bipartition.
-
-    e1 counts edges with endpoints on different sides (the cut), e0 the
-    edges inside one side.  Invariants: e0 + e1 = |E|, cut = e1, and
-    signed = e1 - e0 = 2*cut - |E|.
-    """
-
-    cut: int
-    e0: int
-    e1: int
-    signed: int
-
-
 def cut_size_of_mask(g: Graph, mask: int) -> int:
     """Number of edges with exactly one endpoint in ``mask``."""
     adj = g.adj
@@ -193,41 +175,6 @@ def cut_size_of_mask(g: Graph, mask: int) -> int:
         mask ^= low
         total += (adj[low.bit_length() - 1] & outside).bit_count()
     return total
-
-
-def cut_stats(g: Graph, s: Iterable[int]) -> CutStats:
-    mask = vertex_mask(s)
-    if mask & ~g.full_mask:
-        raise GraphError("vertex set contains indices outside the graph")
-    e1 = cut_size_of_mask(g, mask)
-    e0 = g.edge_count - e1
-    return CutStats(cut=e1, e0=e0, e1=e1, signed=e1 - e0)
-
-
-def is_balanced_bipartition(g: Graph, s: Iterable[int]) -> bool:
-    """True iff |S| and |V minus S| differ by at most one."""
-    mask = vertex_mask(s)
-    if mask & ~g.full_mask:
-        raise GraphError("vertex set contains indices outside the graph")
-    k = mask.bit_count()
-    return abs(k - (g.n - k)) <= 1
-
-
-def is_cordial_labeling(g: Graph, zero_side: Iterable[int]) -> bool:
-    """True iff the bipartition is balanced and its edge labels are too.
-
-    ``zero_side`` is the set of 0-labeled vertices; the rest are labeled 1.
-    An edge's label is the XOR of its endpoint labels, so label-1 edges are
-    exactly the cut edges.
-    """
-    mask = vertex_mask(zero_side)
-    if mask & ~g.full_mask:
-        raise GraphError("vertex set contains indices outside the graph")
-    k = mask.bit_count()
-    if abs(k - (g.n - k)) > 1:
-        return False
-    stats = cut_stats(g, iter_bits(mask))
-    return abs(stats.e1 - stats.e0) <= 1
 
 
 def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -4,8 +4,10 @@ For a threshold k, the winning family holds every vertex set that is one
 part of a balanced bipartition whose discrepancy meets the threshold
 (absolute discrepancy |2*cut - |E|| <= k under the cordiality objective,
 signed 2*cut - |E| <= k under balance).  Maker moves as the zero player
-and wins if the set he has claimed at the end lies in the family; Breaker
-moves as the one player and tries to prevent that.
+and wins if the set it has claimed at the end is a member of the family;
+Breaker moves as the one player and tries to prevent that.  Members are
+vertex masks (bit i is vertex i), the encoding of the solver's positions,
+so a final position is scored by one set lookup of its zero mask.
 
 This solver shares no search code with the minimax solver (only its cap
 exception, so a refusal exits the CLI like a solver refusal); agreement
@@ -27,22 +29,11 @@ MB_MAX_N = 14
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A family of vertex subsets of 0..ground-1, deterministically ordered."""
+    """A family of vertex subsets of 0..ground-1 as vertex masks, each
+    ordered by its sorted vertex list (the export order)."""
 
     ground: int
-    members: tuple[frozenset[int], ...]
-
-    def masks(self) -> frozenset[int]:
-        out = set()
-        for member in self.members:
-            mask = 0
-            for v in member:
-                mask |= 1 << v
-            out.add(mask)
-        return frozenset(out)
-
-    def __len__(self) -> int:
-        return len(self.members)
+    members: tuple[int, ...]
 
 
 def winning_family(g: Graph, k: int, objective: Objective) -> SetFamily:
@@ -61,27 +52,23 @@ def winning_family(g: Graph, k: int, objective: Objective) -> SetFamily:
         signed = 2 * cut_size_of_mask(g, mask) - e
         d = abs(signed) if objective is Objective.CORDIALITY else signed
         if d <= k:
-            members.append(frozenset(iter_bits(mask)))
-    members.sort(key=lambda s: tuple(sorted(s)))
+            members.append(mask)
+    members.sort(key=lambda m: tuple(iter_bits(m)))
     return SetFamily(ground=n, members=tuple(members))
 
 
-def _maker_wins(g: Graph, family_masks: frozenset[int], variant: Variant, exact: bool) -> bool:
+def _maker_wins(g: Graph, members: frozenset[int], variant: Variant) -> bool:
     n = g.n
     full = g.full_mask
     budget = variant.pass_budget
     starter_is_zero = variant.starter is Player.ZERO
-    masks = family_masks
-    member_list = tuple(family_masks)
     memo: dict[int, bool] = {}
     two_n = 2 * n
 
     def wins(zero: int, one: int, passes: int) -> bool:
         free = full & ~(zero | one)
         if free == 0:
-            if exact:
-                return zero in masks
-            return any(w & ~zero == 0 for w in member_list)
+            return zero in members
         key = passes << two_n | one << n | zero
         cached = memo.get(key)
         if cached is not None:
@@ -114,19 +101,8 @@ def _maker_wins(g: Graph, family_masks: frozenset[int], variant: Variant, exact:
     return wins(0, 0, 0)
 
 
-def maker_breaker_value(
-    g: Graph,
-    variant: Variant,
-    objective: Objective,
-    exact_membership: bool = True,
-) -> int:
-    """Smallest k for which Maker can force his final set into the family.
-
-    ``exact_membership=True`` requires the claimed set to be a family
-    member; False accepts any claimed superset of a member (the common
-    Maker-Breaker convention; for these families the two readings can
-    differ only on odd orders).
-    """
+def maker_breaker_value(g: Graph, variant: Variant, objective: Objective) -> int:
+    """Smallest k for which Maker can force its final set to be a family member."""
     if g.n > MB_MAX_N:
         raise SolverCapError(f"maker-breaker solving is capped at n = {MB_MAX_N}")
     if g.n == 0:
@@ -139,7 +115,7 @@ def maker_breaker_value(
     while lo < hi:
         gamma = lo + 2 * ((hi - lo) // 4)
         family = winning_family(g, gamma, objective)
-        if _maker_wins(g, family.masks(), variant, exact_membership):
+        if _maker_wins(g, frozenset(family.members), variant):
             hi = gamma
         else:
             lo = gamma + 2
@@ -150,25 +126,5 @@ def export_hypergraph(family: SetFamily) -> str:
     """Text form: header "n m", then one member per line as sorted indices."""
     lines = [f"{family.ground} {len(family.members)}"]
     for member in family.members:
-        lines.append(" ".join(str(v) for v in sorted(member)))
+        lines.append(" ".join(map(str, iter_bits(member))))
     return "\n".join(lines) + "\n"
-
-
-def parse_hypergraph(text: str) -> SetFamily:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty hypergraph text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("header must be 'n m'")
-    ground, count = int(head[0]), int(head[1])
-    members = []
-    for line in lines[1:]:
-        member = frozenset(int(tok) for tok in line.split())
-        if any(not 0 <= v < ground for v in member):
-            raise ValueError(f"member {sorted(member)} outside ground set 0..{ground - 1}")
-        members.append(member)
-    if len(members) != count:
-        raise ValueError(f"header promised {count} members, found {len(members)}")
-    members.sort(key=lambda s: tuple(sorted(s)))
-    return SetFamily(ground=ground, members=tuple(members))

@@ -11,9 +11,11 @@ value runs it from the least value to |E|.  The principal-line descent
 carries that value down: it plays through ``game.py``'s moves, turn order
 and pass rule, and at each ply runs the loop on each child, in tie-break
 order, only until the child is shown to keep the value or to miss it.
-The table capacity changes only the work, never the value.  A position
-with two free vertices, or with three and a mover that cannot pass, is
-valued in closed form: it is never probed, stored or counted, so
+The table capacity changes only the work, never the value: a table that
+reaches ``TABLE_CAPACITY`` entries is cleared and refilled, so the search
+keeps caching its newest positions (capacity 0 keeps one entry at a time).
+A position with two free vertices, or with three and a mover that cannot
+pass, is valued in closed form: it is never probed, stored or counted, so
 ``SolveResult.nodes`` counts only the positions searched through the
 table.  On a path numbered in path order with at least
 ``_REVERSAL_MIN_N`` vertices, a position and its mirror image share one
@@ -184,7 +186,7 @@ class _Searcher:
                 warned[0] = True
                 warnings.warn(
                     f"transposition table capacity {capacity} reached; "
-                    "continuing without caching new positions"
+                    "clearing the table each time it fills"
                 )
 
         def search(
@@ -337,10 +339,10 @@ class _Searcher:
                     lo = g_val
             else:
                 lo = hi = g_val
-            if entry is not None or len(table) < capacity:
-                table[key] = (lo + _BIAS) << _SHIFT | (hi + _BIAS)
-            else:
+            if entry is None and len(table) >= capacity:
+                table.clear()
                 warn_capacity()
+            table[key] = (lo + _BIAS) << _SHIFT | (hi + _BIAS)
             return g_val
 
         return search

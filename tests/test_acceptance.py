@@ -22,7 +22,6 @@ from cordiality import (
     Sweep,
     balance_maximizer_strategy,
     brute_force_value,
-    cut_stats,
     enumerate_trees,
     find_branch,
     maker_breaker_value,
@@ -35,6 +34,7 @@ from cordiality import (
     tree_bound,
     tree_strategy,
 )
+from cordiality.graphs import cut_size_of_mask, vertex_mask
 from cordiality.oracle import ORACLE_MAX_N
 from cordiality.solver import TABLE_CAPACITY, _REVERSAL_MIN_N
 
@@ -83,7 +83,7 @@ def test_c03_p6_bad_set_enumeration():
     regenerated = {
         frozenset(c)
         for c in combinations(range(6), 3)
-        if abs(cut_stats(g, c).signed) >= 3
+        if abs(2 * cut_size_of_mask(g, vertex_mask(c)) - g.edge_count) >= 3
     }
     assert regenerated == listed
     verdict("P6 balanced bipartitions of discrepancy >= 3 are exactly the 8 listed sets")
@@ -203,9 +203,10 @@ def test_c12_oracle_equivalence_and_option_independence(full_corpus, monkeypatch
                 values = set()
                 # path reversal at its own order and forced on (the spot-check
                 # paths are below the order where the solver turns it on),
-                # each with the default table and with the table off
+                # each with the default table, a 50-entry table that fills and
+                # clears mid-search, and a table of one entry
                 for reversal_min_n in (_REVERSAL_MIN_N, 1):
-                    for capacity in (TABLE_CAPACITY, 0):
+                    for capacity in (TABLE_CAPACITY, 50, 0):
                         monkeypatch.setattr(cordiality.solver, "_REVERSAL_MIN_N", reversal_min_n)
                         monkeypatch.setattr(cordiality.solver, "TABLE_CAPACITY", capacity)
                         values.add(solve(g, variant, objective).value)

@@ -105,6 +105,8 @@ REMOVED_FLAGS = {
     "symmetry": ["solve", "--graph", "path:8", "--symmetry", "path-reversal"],
     # alpha-beta is always on; there is no flag to turn it off
     "no-alpha-beta": ["solve", "--graph", "path:4", "--no-alpha-beta"],
+    # a final position wins for Maker only when its zero set is a family member
+    "semantics": ["mb", "--graph", "path:4", "--semantics", "exact"],
 }
 
 

@@ -22,7 +22,7 @@ from cordiality import (
     terminal_value,
     to_move,
 )
-from cordiality.game import replay, transcript
+from cordiality.game import replay
 from cordiality.graphs import vertex_mask
 
 
@@ -136,28 +136,6 @@ def test_random_playout_invariants(variant):
                 assert zeros == ones
             if state.passes_used and graph.n % 2 == 1:
                 assert zeros == ones + 1
-
-
-def test_transcript_format():
-    g = path_graph(3)
-    record = transcript(
-        g,
-        ZERO_STARTS,
-        [Move.label(1), Move.label(0), Move.label(2)],
-        Objective.CORDIALITY,
-    )
-    assert record["moves"][0] == {"player": "A", "move": 1}
-    assert record["moves"][1] == {"player": "I", "move": 0}
-    assert record["value"] == 0
-    assert record["edge_labels"] == {"0-1": 1, "1-2": 0}
-    with_pass = transcript(
-        g,
-        ONE_STARTS_WITH_PASS,
-        [PASS, Move.label(1)],
-        Objective.CORDIALITY,
-    )
-    assert with_pass["moves"][0] == {"player": "I", "move": "pass"}
-    assert "value" not in with_pass  # not terminal
 
 
 @pytest.mark.parametrize("variant", [ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS])

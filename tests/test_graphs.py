@@ -1,20 +1,20 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cordiality import (
     GraphError,
-    cut_stats,
+    Objective,
     from_edges,
-    is_balanced_bipartition,
-    is_cordial_labeling,
     path_graph,
     random_connected_graph,
     spider_graph,
     star_graph,
+    winning_family,
 )
-from cordiality.graphs import component, path_walk, vertex_mask
+from cordiality.graphs import component, cut_size_of_mask, path_walk, vertex_mask
 
 
 def test_path_graph_shapes():
@@ -85,25 +85,31 @@ def test_path_walk_orders_from_either_end_or_refuses():
     assert path_walk(chord, chord.full_mask, 0) is None
 
 
-def test_cut_stats_known_values():
-    stats = cut_stats(path_graph(5), [0, 2, 4])
-    assert (stats.cut, stats.signed) == (4, 4)
-    empty = cut_stats(path_graph(5), [])
-    assert (empty.cut, empty.signed) == (0, -4)
-    prefix = cut_stats(path_graph(6), [0, 1, 2])
-    assert (prefix.cut, prefix.signed) == (1, -3)
+def test_cut_size_known_values():
+    assert cut_size_of_mask(path_graph(5), vertex_mask([0, 2, 4])) == 4
+    assert cut_size_of_mask(path_graph(5), 0) == 0
+    assert cut_size_of_mask(path_graph(6), vertex_mask([0, 1, 2])) == 1
 
 
 def test_balanced_bipartition():
-    assert is_balanced_bipartition(path_graph(4), [0, 2])
-    assert not is_balanced_bipartition(path_graph(5), [])
-    assert is_balanced_bipartition(path_graph(5), [0, 1, 2])
+    # at k = |E| the winning family holds exactly the balanced parts
+    def balanced(g, part):
+        return vertex_mask(part) in winning_family(g, g.edge_count, Objective.CORDIALITY).members
+
+    assert balanced(path_graph(4), [0, 2])
+    assert not balanced(path_graph(5), [])
+    assert balanced(path_graph(5), [0, 1, 2])
 
 
 def test_cordial_labeling():
-    assert is_cordial_labeling(path_graph(3), [0, 1])
-    assert not is_cordial_labeling(path_graph(3), [1])
-    assert is_cordial_labeling(path_graph(0), [])
+    # a zero side is cordial iff it is balanced and |e1 - e0| <= 1, that is,
+    # a member of the winning family at k = 1
+    def cordial(g, zero_side):
+        return vertex_mask(zero_side) in winning_family(g, 1, Objective.CORDIALITY).members
+
+    assert cordial(path_graph(3), [0, 1])
+    assert not cordial(path_graph(3), [1])
+    assert cordial(path_graph(0), [])
 
 
 def test_spider_and_star():
@@ -131,10 +137,11 @@ def graph_and_subset(draw):
 @given(graph_and_subset())
 def test_cut_invariants(case):
     g, subset = case
-    stats = cut_stats(g, subset)
-    complement = cut_stats(g, set(range(g.n)) - subset)
-    assert stats.cut == complement.cut
-    assert stats.signed == complement.signed
-    assert stats.e0 + stats.e1 == g.edge_count
-    assert stats.signed == stats.e1 - stats.e0
-    assert stats.signed % 2 == g.edge_count % 2
+    cut = cut_size_of_mask(g, vertex_mask(subset))
+    reference = nx.Graph()
+    reference.add_nodes_from(range(g.n))
+    reference.add_edges_from(g.edges)
+    assert cut == nx.cut_size(reference, subset)
+    assert cut == cut_size_of_mask(g, g.full_mask & ~vertex_mask(subset))
+    # each degree in the subset counts its inside edges twice, its cut edges once
+    assert cut % 2 == sum(g.degree(v) for v in subset) % 2

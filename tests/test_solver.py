@@ -83,7 +83,7 @@ def test_option_independence_small(monkeypatch):
             for objective in (Objective.CORDIALITY, Objective.BALANCE):
                 values = set()
                 # path reversal at its own order and forced on at every order,
-                # each with the default table and with the table off
+                # each with the default table and with a table of one entry
                 for reversal_min_n in (_REVERSAL_MIN_N, 1):
                     for capacity in (TABLE_CAPACITY, 0):
                         monkeypatch.setattr(cordiality.solver, "_REVERSAL_MIN_N", reversal_min_n)
@@ -294,7 +294,9 @@ def test_principal_line_is_lowest_index_optimal_line(monkeypatch):
         for variant in ALL_VARIANTS:
             for objective in objectives:
                 value, line = _reference_line(g, variant, objective)
-                for capacity in (TABLE_CAPACITY, 0):  # the default table, then none
+                # the default table; a 50-entry table that fills and clears
+                # mid-search; a table of one entry
+                for capacity in (TABLE_CAPACITY, 50, 0):
                     monkeypatch.setattr(cordiality.solver, "TABLE_CAPACITY", capacity)
                     result = solve(g, variant, objective)
                     assert (result.value, result.principal_line) == (value, line), (
