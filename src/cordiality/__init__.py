@@ -47,7 +47,6 @@ from .strategies import (
     StrategyError,
     balance_maximizer_strategy,
     path_bound,
-    path_bound_mod6,
     path_strategy,
     suffix_pair_edge,
     tree_bound,

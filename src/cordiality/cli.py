@@ -25,17 +25,15 @@ import sys
 from functools import partial
 from multiprocessing import Pool
 
-from .game import Objective, VARIANT_CODES, ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS
+from .game import Objective, Player, VARIANT_CODES, ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS
 from .graph6 import Graph6Error, emit_graph6, parse_edge_list, parse_graph6_file
 from .graphs import Graph, GraphError, path_graph, random_connected_graph, spider_graph, star_graph
 from .harness import Sweep
 from .makerbreaker import MB_MAX_N, export_hypergraph, maker_breaker_value, winning_family
-from .branching import find_branch
 from .solver import DEFAULT_MAX_N, GAME_NUMBERS, SolverCapError, game_number, solve
 from .strategies import (
     balance_maximizer_strategy,
     path_bound,
-    path_bound_mod6,
     path_strategy,
     suffix_pair_edge,
     tree_bound,
@@ -173,7 +171,7 @@ def cmd_table(args, out) -> int:
             records.append(row)
             continue
         row["path_bound"] = path_bound(n)
-        row["bound_ok"] = row["cg"] <= path_bound(n) and row["cg"] <= path_bound_mod6(n)
+        row["bound_ok"] = row["cg"] <= path_bound(n)
         parity = g.edge_count % 2
         row["parity_ok"] = all(row[name] % 2 == parity for name in GAME_NUMBERS)
         row["skipped"] = False
@@ -182,17 +180,20 @@ def cmd_table(args, out) -> int:
     return EXIT_OK
 
 
-def _check_strategy(records, fixture, g, strategy, variant, objective, bound, holds,
+def _check_strategy(records, fixture, g, strategy, variant, objective, bound,
                     terminal_check=None) -> bool:
-    """Sweep ``strategy`` on ``g`` and record whether ``holds(worst)``.
+    """Sweep ``strategy`` on ``g`` and record whether its worst case meets ``bound``.
 
-    A failing record carries a witness line, read from the same sweep, that
-    realizes the worst case; a terminal that fails ``terminal_check``
-    counts as the worst case.
+    The worst case over every adversary reply is the proof: a zero-player
+    strategy holding it to at most ``bound`` bounds the game value from
+    above, a one-player strategy holding it to at least ``bound`` from
+    below.  A failing record carries a witness line, read from the same
+    sweep, that realizes the worst case; a terminal that fails
+    ``terminal_check`` counts as the worst case.
     """
     sweep = Sweep(g, strategy, variant, objective, terminal_check)
     worst = sweep.worst
-    ok = holds(worst)
+    ok = worst <= bound if strategy.role is Player.ZERO else worst >= bound
     record = {
         "fixture": fixture,
         "graph": emit_graph6(g),
@@ -230,7 +231,7 @@ def _verify_small_paths(records, max_n=None) -> bool:
             )
             all_ok &= ok
             all_ok &= _check_strategy(records, "small-paths", g, path_strategy(n), variant,
-                                      Objective.CORDIALITY, value, lambda w: w <= value)
+                                      Objective.CORDIALITY, value)
     return all_ok
 
 
@@ -240,7 +241,7 @@ def _verify_path_bound(records, max_n) -> bool:
         g = path_graph(n)
         bound = path_bound(n)
         value = solve(g, ZERO_STARTS, Objective.CORDIALITY, line=False).value
-        ok = value <= bound and value <= path_bound_mod6(n)
+        ok = value <= bound
         records.append(
             {
                 "fixture": "path-bound",
@@ -252,7 +253,7 @@ def _verify_path_bound(records, max_n) -> bool:
         )
         all_ok &= ok
         all_ok &= _check_strategy(records, "path-bound", g, path_strategy(n), ZERO_STARTS,
-                                  Objective.CORDIALITY, bound, lambda w: w <= bound)
+                                  Objective.CORDIALITY, bound)
     return all_ok
 
 
@@ -261,12 +262,8 @@ def _verify_tree_bound(records, max_n) -> bool:
     for n in range(2, max_n + 1):
         bound = tree_bound(n)
         for g in enumerate_trees(n):
-            value = solve(g, ZERO_STARTS, Objective.CORDIALITY, line=False).value
-            # a tree that is not a path must split by one of the seven branch cases
-            all_ok &= _check_strategy(
-                records, "tree-bound", g, tree_strategy(g), ZERO_STARTS, Objective.CORDIALITY,
-                bound, lambda w: (g.is_path() or find_branch(g).case_id in range(1, 8))
-                and value <= bound and w <= bound)
+            all_ok &= _check_strategy(records, "tree-bound", g, tree_strategy(g), ZERO_STARTS,
+                                      Objective.CORDIALITY, bound)
     return all_ok
 
 
@@ -274,15 +271,13 @@ def _verify_balance_bound(records, max_n) -> bool:
     all_ok = True
     for n in range(2, max_n + 1):
         g = path_graph(n)
-        value = solve(g, ZERO_STARTS, Objective.BALANCE, line=False).value
         a, b = suffix_pair_edge(n)
 
         def suffix_edge_cut(state, a=a, b=b):
             return bool((state.zero_mask >> a ^ state.zero_mask >> b) & 1)
 
         all_ok &= _check_strategy(records, "balance-bound", g, balance_maximizer_strategy(n),
-                                  ZERO_STARTS, Objective.BALANCE, 0,
-                                  lambda w: value >= 0 and w >= 0, suffix_edge_cut)
+                                  ZERO_STARTS, Objective.BALANCE, 0, suffix_edge_cut)
     return all_ok
 
 

@@ -36,25 +36,29 @@ class SetFamily:
     members: tuple[int, ...]
 
 
-def winning_family(g: Graph, k: int, objective: Objective) -> SetFamily:
-    """All balanced-bipartition parts with discrepancy at most k."""
-    if g.n > FAMILY_MAX_N:
-        raise SolverCapError(f"family enumeration is capped at n = {FAMILY_MAX_N}")
+def _scored_parts(g: Graph, objective: Objective) -> list[tuple[int, int]]:
+    """(discrepancy, mask) for every balanced-bipartition part, in export order."""
     n = g.n
     e = g.edge_count
     lo_size = n // 2
     hi_size = (n + 1) // 2
-    members = []
+    scored = []
     for mask in range(1 << n):
         size = mask.bit_count()
         if size != lo_size and size != hi_size:
             continue
         signed = 2 * cut_size_of_mask(g, mask) - e
-        d = abs(signed) if objective is Objective.CORDIALITY else signed
-        if d <= k:
-            members.append(mask)
-    members.sort(key=lambda m: tuple(iter_bits(m)))
-    return SetFamily(ground=n, members=tuple(members))
+        scored.append((abs(signed) if objective is Objective.CORDIALITY else signed, mask))
+    scored.sort(key=lambda part: tuple(iter_bits(part[1])))
+    return scored
+
+
+def winning_family(g: Graph, k: int, objective: Objective) -> SetFamily:
+    """All balanced-bipartition parts with discrepancy at most k."""
+    if g.n > FAMILY_MAX_N:
+        raise SolverCapError(f"family enumeration is capped at n = {FAMILY_MAX_N}")
+    members = tuple(mask for d, mask in _scored_parts(g, objective) if d <= k)
+    return SetFamily(ground=g.n, members=members)
 
 
 def _maker_wins(g: Graph, members: frozenset[int], variant: Variant) -> bool:
@@ -111,11 +115,12 @@ def maker_breaker_value(g: Graph, variant: Variant, objective: Objective) -> int
     lo = e % 2 if objective is Objective.CORDIALITY else -e
     hi = e
     # Maker always wins at k = |E| since the final claimed set is one part
-    # of a balanced bipartition; bisect down the parity grid from there.
+    # of a balanced bipartition; bisect down the parity grid from there,
+    # scoring each part once.
+    scored = _scored_parts(g, objective)
     while lo < hi:
         gamma = lo + 2 * ((hi - lo) // 4)
-        family = winning_family(g, gamma, objective)
-        if _maker_wins(g, frozenset(family.members), variant):
+        if _maker_wins(g, frozenset(mask for d, mask in scored if d <= gamma), variant):
             hi = gamma
         else:
             lo = gamma + 2

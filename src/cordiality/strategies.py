@@ -233,21 +233,20 @@ class _FirstMoveMemory(_ScriptBase):
 
     def __init__(self, verts):
         super().__init__(verts)
-        self.opened_by_us = False
-        self.opp_first: int | None = None
+        # None until the territory is opened, then 0 if we opened it or
+        # else the opponent's opening position; later moves change nothing
+        self.first: int | None = None
 
     def after(self, move, mover):
-        if self.opp_first is not None or move.is_pass or move.vertex not in self._pos:
+        if self.first is not None or move.is_pass or move.vertex not in self._pos:
             return self
-        if mover is self.role:
-            return self if self.opened_by_us else self._copy(opened_by_us=True)
-        return self._copy(opp_first=self._pos[move.vertex])
+        return self._copy(first=0 if mover is self.role else self._pos[move.vertex])
 
     def state_key(self):
-        return (self.opened_by_us, self.opp_first)
+        return self.first
 
     def _decide(self, own, opp, free, prompted):
-        first = None if self.opened_by_us else self.opp_first
+        first = self.first or None  # the book reads our opening as no opponent opening
         if first is None or first <= 3:
             return self._answer(own, opp, free, prompted, first)
         f = self.flip
@@ -437,7 +436,7 @@ def path_strategy(n: int) -> Strategy:
     Peels six-vertex scripted endgames off the end of the path and plays
     the first 1 to 6 vertices by a small script, answering the opponent
     part-for-part.  Against any play of the maximizer in the zero-starts
-    game its final discrepancy is within the mod-6 path bound.  For n <= 6
+    game its final discrepancy is within ``path_bound(n)``.  For n <= 6
     it is a single script, which reads the observed move order and so
     plays optimally in every variant.
     """
@@ -507,11 +506,6 @@ def suffix_pair_edge(n: int) -> tuple[int, int]:
 def path_bound(n: int) -> int:
     """Guaranteed-achievable path discrepancy bound, mod-3 form."""
     return {0: (n - 3) // 3, 1: (n - 1) // 3, 2: (n + 1) // 3}[n % 3]
-
-
-def path_bound_mod6(n: int) -> int:
-    """The same bound in its mod-6 form (equal to ``path_bound``)."""
-    return 2 * (n // 6) + {0: -1, 1: 0, 2: 1, 3: 0, 4: 1, 5: 2}[n % 6]
 
 
 def tree_bound(n: int) -> int:

@@ -26,7 +26,6 @@ from cordiality import (
     find_branch,
     maker_breaker_value,
     path_bound,
-    path_bound_mod6,
     path_graph,
     path_strategy,
     solve,
@@ -37,6 +36,7 @@ from cordiality import (
 from cordiality.graphs import cut_size_of_mask, vertex_mask
 from cordiality.oracle import ORACLE_MAX_N
 from cordiality.solver import TABLE_CAPACITY, _REVERSAL_MIN_N
+from conftest import path_bound_mod6
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
 GAME_NUMBER_COMBOS = (
@@ -116,7 +116,9 @@ def test_c06_tree_bound_to_10(solved):
             assert value <= bound, (n, tree.edges, value)
             worst = Sweep(tree, tree_strategy(tree), ZERO_STARTS, Objective.CORDIALITY).worst
             assert worst <= bound, (n, tree.edges, worst)
-    verdict("every tree with 2 <= n <= 10: solved value and strategy worst case within n/2")
+            # the strategy's worst case bounds the game value from above
+            assert value <= worst, (n, tree.edges, value, worst)
+    verdict("every tree with 2 <= n <= 10: solved value <= strategy worst case <= n/2")
 
 
 def test_c07_branch_coverage_to_11_and_twin_arm_sets():
@@ -158,6 +160,8 @@ def test_c08_balance_to_14(solved):
         ).worst
         # a terminal with the suffix edge uncut would score -|E| - 1
         assert 0 <= worst <= g.edge_count, (n, worst)
+        # the one-player strategy's worst case bounds the game value from below
+        assert worst <= solved(g, "bg"), (n, worst)
     verdict("balance values and strategy worst cases non-negative to n=14, suffix edge always 1")
 
 

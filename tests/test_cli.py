@@ -179,7 +179,6 @@ def test_verify_failure_exits_one_with_witness(monkeypatch):
     import cordiality.cli as cli_module
 
     monkeypatch.setattr(cli_module, "path_bound", lambda n: -1)
-    monkeypatch.setattr(cli_module, "path_bound_mod6", lambda n: -1)
     sweeps = []
 
     class CountedSweep(cli_module.Sweep):
@@ -240,7 +239,7 @@ def test_verify_all_sweep_work_is_pinned(monkeypatch):
     monkeypatch.setattr(cli, "Sweep", CountedSweep)
     assert main(["verify", "all", "--max-n", "10"], out=io.StringIO()) == 0
     assert len(entries) == 229
-    assert sum(entries) == 23934
+    assert sum(entries) == 23321
 
 
 def test_probe_balance_deterministic_and_nonnegative():

@@ -28,7 +28,7 @@ from cordiality import (
     terminal_value,
 )
 from cordiality.game import replay
-from cordiality.solver import TABLE_CAPACITY, _REVERSAL_MIN_N, _Searcher
+from cordiality.solver import TABLE_CAPACITY, _Searcher
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
 
@@ -74,22 +74,6 @@ def test_game_number_dispatch():
     assert game_number(p6, "bg") == 1
     with pytest.raises(ValueError):
         game_number(p6, "nope")
-
-
-def test_option_independence_small(monkeypatch):
-    for n in (5, 6, 7):
-        g = path_graph(n)
-        for variant in ALL_VARIANTS:
-            for objective in (Objective.CORDIALITY, Objective.BALANCE):
-                values = set()
-                # path reversal at its own order and forced on at every order,
-                # each with the default table and with a table of one entry
-                for reversal_min_n in (_REVERSAL_MIN_N, 1):
-                    for capacity in (TABLE_CAPACITY, 0):
-                        monkeypatch.setattr(cordiality.solver, "_REVERSAL_MIN_N", reversal_min_n)
-                        monkeypatch.setattr(cordiality.solver, "TABLE_CAPACITY", capacity)
-                        values.add(solve(g, variant, objective).value)
-                assert len(values) == 1
 
 
 def test_symmetry_requires_path_order(monkeypatch):

@@ -21,7 +21,6 @@ from cordiality import (
     legal_moves,
     new_game,
     path_bound,
-    path_bound_mod6,
     path_graph,
     path_strategy,
     spider_graph,
@@ -36,6 +35,7 @@ from cordiality.game import GameState
 from cordiality.graphs import vertex_mask
 from cordiality.strategies import Case6Script, Path6Script, SplitStrategy, StrategyError
 from cordiality.trees import NonTreeError
+from conftest import path_bound_mod6
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
 
