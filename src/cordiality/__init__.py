@@ -13,7 +13,6 @@ from .game import (
     VARIANT_CODES,
     ZERO_STARTS,
     apply_move,
-    children,
     is_legal,
     is_terminal,
     legal_moves,
@@ -54,7 +53,6 @@ from .strategies import (
 )
 from .trees import (
     NonTreeError,
-    TreeCode,
     centroids,
     enumerate_trees,
     prufer_decode,

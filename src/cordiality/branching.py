@@ -36,10 +36,9 @@ from .trees import NonTreeError
 @dataclass(frozen=True)
 class BranchDecomposition:
     case_id: int
-    attach: int  # v, shared by branch and remainder
     branch_mask: int  # S = B minus v
     remainder_mask: int  # T', includes v
-    roles: dict[str, int]  # figure names "v", "v1", ... to vertex ids
+    roles: dict[str, int]  # figure names to vertex ids; "v" is shared by B and T'
 
 
 def _check_subtree(g: Graph, mask: int) -> None:
@@ -98,11 +97,10 @@ def find_branch_in(g: Graph, mask: int) -> BranchDecomposition:
             raise NonTreeError("expected exactly one stem direction")
         return stem.bit_length() - 1
 
-    def build(case_id: int, attach: int, roles: dict[str, int]) -> BranchDecomposition:
+    def build(case_id: int, roles: dict[str, int]) -> BranchDecomposition:
         s = vertex_mask(v for name, v in roles.items() if name != "v")
         return BranchDecomposition(
             case_id=case_id,
-            attach=attach,
             branch_mask=s,
             remainder_mask=mask & ~s,
             roles=roles,
@@ -112,17 +110,17 @@ def find_branch_in(g: Graph, mask: int) -> BranchDecomposition:
     if long_arms:
         arm = min(long_arms)
         tail = arm[-4:]
-        attach = arm[-5] if len(arm) >= 5 else u
-        roles = {"v": attach, "v1": tail[0], "v2": tail[1], "v3": tail[2], "v4": tail[3]}
-        return build(1, attach, roles)
+        v = arm[-5] if len(arm) >= 5 else u
+        roles = {"v": v, "v1": tail[0], "v2": tail[1], "v3": tail[2], "v4": tail[3]}
+        return build(1, roles)
     if len(by_size.get(1, [])) >= 2:
         first, second = sorted(by_size[1])[:2]
         roles = {"v": u, "v1": first[0], "v2": second[0]}
-        return build(2, u, roles)
+        return build(2, roles)
     if len(by_size.get(2, [])) >= 2:
         first, second = sorted(by_size[2])[:2]
         roles = {"v": u, "v1": first[1], "v2": first[0], "v3": second[0], "v4": second[1]}
-        return build(3, u, roles)
+        return build(3, roles)
     if len(by_size.get(3, [])) >= 2:
         first, second = sorted(by_size[3])[:2]
         roles = {
@@ -130,18 +128,18 @@ def find_branch_in(g: Graph, mask: int) -> BranchDecomposition:
             "v1": first[0], "v2": first[1], "v3": first[2],
             "v4": second[0], "v5": second[1], "v6": second[2],
         }
-        return build(6, u, roles)
+        return build(6, roles)
     if by_size.get(1) and by_size.get(3):
         leaf = by_size[1][0]
         arm3 = by_size[3][0]
         roles = {"v": u, "v1": leaf[0], "v2": arm3[0], "v3": arm3[1], "v4": arm3[2]}
-        return build(5, u, roles)
+        return build(5, roles)
     if by_size.get(1) and by_size.get(2):
         leaf = by_size[1][0]
         arm2 = by_size[2][0]
         v = stem_neighbor()
         roles = {"v": v, "v1": u, "v2": arm2[0], "v3": arm2[1], "v4": leaf[0]}
-        return build(4, v, roles)
+        return build(4, roles)
     if by_size.get(2) and by_size.get(3):
         arm2 = by_size[2][0]
         arm3 = by_size[3][0]
@@ -151,7 +149,7 @@ def find_branch_in(g: Graph, mask: int) -> BranchDecomposition:
             "v1": u, "v2": arm2[0], "v3": arm2[1],
             "v4": arm3[0], "v5": arm3[1], "v6": arm3[2],
         }
-        return build(7, v, roles)
+        return build(7, roles)
     raise NonTreeError(  # pragma: no cover - the elimination order is total
         f"no case matches arms of orders {tuple(len(a) for a in arms)} at vertex {u}"
     )

@@ -11,8 +11,9 @@ Subcommands
 Exit codes: 0 success / all pass, 1 verification failure, 2 input error,
 3 resource refusal (graph above the solver's hard cap without --force, or
 above a Maker-Breaker cap).  ``verify`` checks its ``--max-n`` against every
-selected fixture's cap, and ``probe-balance`` against the solver's, before
-doing any work.
+selected fixture's cap, and ``table`` and ``probe-balance`` against the
+solver's, before doing any work.  A graph above ``MAX_VERTICES`` is an input
+error, refused before it is built.
 """
 
 from __future__ import annotations
@@ -27,7 +28,15 @@ from multiprocessing import Pool
 
 from .game import Objective, Player, VARIANT_CODES, ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS
 from .graph6 import Graph6Error, emit_graph6, parse_edge_list, parse_graph6_file
-from .graphs import Graph, GraphError, path_graph, random_connected_graph, spider_graph, star_graph
+from .graphs import (
+    MAX_VERTICES,
+    Graph,
+    GraphError,
+    path_graph,
+    random_connected_graph,
+    spider_graph,
+    star_graph,
+)
 from .harness import Sweep
 from .makerbreaker import MB_MAX_N, export_hypergraph, maker_breaker_value, winning_family
 from .solver import DEFAULT_MAX_N, GAME_NUMBERS, SolverCapError, game_number, solve
@@ -153,35 +162,31 @@ def map_jobs(func, items: list, jobs: int) -> list:
 def cmd_solve(args, out) -> int:
     graphs = load_graphs(args)
     record = partial(solve_record, variant_code=args.variant,
-                     objective_value=args.objective, max_n=10_000 if args.force else None)
+                     objective_value=args.objective, max_n=MAX_VERTICES if args.force else None)
     emit_records(map_jobs(record, graphs, args.jobs), args.format, out)
     return EXIT_OK
 
 
 def cmd_table(args, out) -> int:
+    if args.max_n > DEFAULT_MAX_N:  # refuse before solving any path
+        raise SolverCapError(f"table supports --max-n up to {DEFAULT_MAX_N}")
     records = []
     for n in range(args.min_n, args.max_n + 1):
         g = path_graph(n)
         row: dict = {"n": n}
-        try:
-            for name, (variant, objective) in GAME_NUMBERS.items():
-                row[name] = solve(g, variant, objective, line=False).value
-        except SolverCapError:
-            row.update(dict.fromkeys(GAME_NUMBERS, ""), skipped=True)
-            records.append(row)
-            continue
+        for name, (variant, objective) in GAME_NUMBERS.items():
+            row[name] = solve(g, variant, objective, line=False).value
         row["path_bound"] = path_bound(n)
         row["bound_ok"] = row["cg"] <= path_bound(n)
         parity = g.edge_count % 2
         row["parity_ok"] = all(row[name] % 2 == parity for name in GAME_NUMBERS)
-        row["skipped"] = False
         records.append(row)
     emit_records(records, args.format, out)
     return EXIT_OK
 
 
 def _check_strategy(records, fixture, g, strategy, variant, objective, bound,
-                    terminal_check=None) -> bool:
+                    terminal_check=None) -> None:
     """Sweep ``strategy`` on ``g`` and record whether its worst case meets ``bound``.
 
     The worst case over every adversary reply is the proof: a zero-player
@@ -205,12 +210,10 @@ def _check_strategy(records, fixture, g, strategy, variant, objective, bound,
     if not ok:
         record["witness_line"] = [m.to_json() for m in sweep.line()]
     records.append(record)
-    return ok
 
 
-def _verify_small_paths(records, max_n=None) -> bool:
+def _verify_small_paths(records, max_n=None) -> None:
     """Exact values and scripts on the paths with 3 to min(6, ``max_n``) vertices."""
-    all_ok = True
     expected = {3: 0, 4: 1, 5: 2, 6: 1}
     for n, value in expected.items():
         if max_n is not None and n > max_n:
@@ -218,7 +221,6 @@ def _verify_small_paths(records, max_n=None) -> bool:
         g = path_graph(n)
         for variant in (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS):
             got = solve(g, variant, Objective.CORDIALITY, line=False).value
-            ok = got == value
             records.append(
                 {
                     "fixture": "small-paths",
@@ -226,49 +228,40 @@ def _verify_small_paths(records, max_n=None) -> bool:
                     "variant": variant.code,
                     "expected": value,
                     "got": got,
-                    "pass": ok,
+                    "pass": got == value,
                 }
             )
-            all_ok &= ok
-            all_ok &= _check_strategy(records, "small-paths", g, path_strategy(n), variant,
-                                      Objective.CORDIALITY, value)
-    return all_ok
+            _check_strategy(records, "small-paths", g, path_strategy(n), variant,
+                            Objective.CORDIALITY, value)
 
 
-def _verify_path_bound(records, max_n) -> bool:
-    all_ok = True
+def _verify_path_bound(records, max_n) -> None:
     for n in range(3, max_n + 1):
         g = path_graph(n)
         bound = path_bound(n)
         value = solve(g, ZERO_STARTS, Objective.CORDIALITY, line=False).value
-        ok = value <= bound
         records.append(
             {
                 "fixture": "path-bound",
                 "graph": emit_graph6(g),
                 "value": value,
                 "claimed_bound": bound,
-                "pass": ok,
+                "pass": value <= bound,
             }
         )
-        all_ok &= ok
-        all_ok &= _check_strategy(records, "path-bound", g, path_strategy(n), ZERO_STARTS,
-                                  Objective.CORDIALITY, bound)
-    return all_ok
+        _check_strategy(records, "path-bound", g, path_strategy(n), ZERO_STARTS,
+                        Objective.CORDIALITY, bound)
 
 
-def _verify_tree_bound(records, max_n) -> bool:
-    all_ok = True
+def _verify_tree_bound(records, max_n) -> None:
     for n in range(2, max_n + 1):
         bound = tree_bound(n)
         for g in enumerate_trees(n):
-            all_ok &= _check_strategy(records, "tree-bound", g, tree_strategy(g), ZERO_STARTS,
-                                      Objective.CORDIALITY, bound)
-    return all_ok
+            _check_strategy(records, "tree-bound", g, tree_strategy(g), ZERO_STARTS,
+                            Objective.CORDIALITY, bound)
 
 
-def _verify_balance_bound(records, max_n) -> bool:
-    all_ok = True
+def _verify_balance_bound(records, max_n) -> None:
     for n in range(2, max_n + 1):
         g = path_graph(n)
         a, b = suffix_pair_edge(n)
@@ -276,13 +269,11 @@ def _verify_balance_bound(records, max_n) -> bool:
         def suffix_edge_cut(state, a=a, b=b):
             return bool((state.zero_mask >> a ^ state.zero_mask >> b) & 1)
 
-        all_ok &= _check_strategy(records, "balance-bound", g, balance_maximizer_strategy(n),
-                                  ZERO_STARTS, Objective.BALANCE, 0, suffix_edge_cut)
-    return all_ok
+        _check_strategy(records, "balance-bound", g, balance_maximizer_strategy(n),
+                        ZERO_STARTS, Objective.BALANCE, 0, suffix_edge_cut)
 
 
-def _verify_mb_equiv(records, max_n) -> bool:
-    all_ok = True
+def _verify_mb_equiv(records, max_n) -> None:
     subjects = [path_graph(n) for n in range(2, max_n + 1)]
     for n in range(2, min(max_n, 6) + 1):
         subjects.extend(enumerate_trees(n))
@@ -290,7 +281,6 @@ def _verify_mb_equiv(records, max_n) -> bool:
         for name, (variant, objective) in GAME_NUMBERS.items():
             mb = maker_breaker_value(g, variant, objective)
             sv = solve(g, variant, objective, line=False).value
-            ok = mb == sv
             records.append(
                 {
                     "fixture": "mb-equiv",
@@ -298,11 +288,9 @@ def _verify_mb_equiv(records, max_n) -> bool:
                     "which": name,
                     "mb_value": mb,
                     "game_value": sv,
-                    "pass": ok,
+                    "pass": mb == sv,
                 }
             )
-            all_ok &= ok
-    return all_ok
 
 
 # fixture name -> (check, default --max-n, largest --max-n and the error
@@ -325,11 +313,11 @@ def cmd_verify(args, out) -> int:
         if cap is not None and args.max_n is not None and args.max_n > cap:
             raise error(f"verify {name} supports --max-n up to {cap}")
     records: list[dict] = []
-    all_ok = True
     for name in names:
         run, default_max_n, _, _ = _FIXTURE_RUNS[name]
-        all_ok &= run(records, args.max_n or default_max_n)
+        run(records, args.max_n or default_max_n)
     emit_records(records, args.format, out)
+    all_ok = all(record["pass"] for record in records)
     summary = "all fixtures passed" if all_ok else "FAILURES above"
     print(summary, file=sys.stderr)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
@@ -417,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--jobs", type=positive_int, default=1,
                          help="spread the input graphs across this many processes")
     p_solve.add_argument("--force", dest="force", action="store_true",
-                         help="lift the vertex-count cap to 10000 for this run; the search "
-                              "has no node or time budget, so a large graph may not finish")
+                         help=f"lift the vertex-count cap to {MAX_VERTICES} for this run; the "
+                              "search has no node or time budget, so a large graph may not finish")
     p_solve.set_defaults(func=cmd_solve)
 
     p_table = sub.add_parser("table", help="value table for paths")

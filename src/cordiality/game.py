@@ -132,17 +132,12 @@ def is_terminal(state: GameState) -> bool:
     return (state.zero_mask | state.one_mask).bit_count() == state.n
 
 
-# the members as plain names: ``Player.ONE`` is an enum class lookup,
-# several times slower than a global, and the turn rule runs once per move
-_ZERO, _ONE = Player.ZERO, Player.ONE
-
-
 def _mover(state: GameState, labeled: int) -> Player:
     """The turn rule: the player to move once ``labeled`` vertices carry labels."""
     starter = state.variant.starter
     if (labeled + state.passes_used) % 2 == 0:
         return starter
-    return _ONE if starter is _ZERO else _ZERO
+    return starter.opponent
 
 
 def to_move(state: GameState) -> Player:
@@ -152,7 +147,7 @@ def to_move(state: GameState) -> Player:
 def _may_pass(state: GameState, labeled: int) -> bool:
     """The pass rule, for a position that is not terminal."""
     return (
-        _mover(state, labeled) is _ONE
+        _mover(state, labeled) is Player.ONE
         and state.passes_used < state.variant.pass_budget
         and state.n - labeled >= 2
     )
@@ -167,31 +162,6 @@ def legal_moves(state: GameState) -> list[Move]:
     if _may_pass(state, labeled):
         moves.append(PASS)
     return moves
-
-
-def children(state: GameState) -> list[tuple[Move, GameState]]:
-    """``(move, apply_move(state, move))`` for every move in ``legal_moves(state)``,
-    in that order, built on the masks without checking each move again."""
-    n, variant, zero, one, passes = state
-    occupied = zero | one
-    labeled = occupied.bit_count()
-    if labeled == n:
-        return []
-    label = Move.label
-    out = []
-    free = ((1 << n) - 1) & ~occupied
-    zero_moves = _mover(state, labeled) is _ZERO
-    while free:
-        bit = free & -free
-        free ^= bit
-        if zero_moves:
-            child = GameState(n, variant, zero | bit, one, passes)
-        else:
-            child = GameState(n, variant, zero, one | bit, passes)
-        out.append((label(bit.bit_length() - 1), child))
-    if _may_pass(state, labeled):
-        out.append((PASS, GameState(n, variant, zero, one, passes + 1)))
-    return out
 
 
 def is_legal(state: GameState, move: Move) -> bool:
@@ -215,7 +185,7 @@ def apply_move(state: GameState, move: Move) -> GameState:
     mover = _mover(state, labeled)
     v = move.vertex
     if v is None:
-        if mover is not _ONE:
+        if mover is not Player.ONE:
             raise IllegalMoveError("only the one player may pass")
         if passes >= variant.pass_budget:
             raise IllegalMoveError("no pass budget remaining")
@@ -227,7 +197,7 @@ def apply_move(state: GameState, move: Move) -> GameState:
     if occupied >> v & 1:
         raise IllegalMoveError(f"vertex {v} is already labeled")
     bit = 1 << v
-    if mover is _ZERO:
+    if mover is Player.ZERO:
         return GameState(n, variant, zero | bit, one, passes)
     return GameState(n, variant, zero, one | bit, passes)
 

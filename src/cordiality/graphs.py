@@ -23,6 +23,10 @@ class GraphError(ValueError):
 # unreachable; past this many draws the sampler gives up
 MAX_CONNECT_DRAWS = 100_000
 
+# each neighbor mask is as wide as the graph, so a graph costs O(n^2) bits;
+# no graph above this order is built (it is also the solver's --force cap)
+MAX_VERTICES = 10_000
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -117,10 +121,13 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list, validating and deduplicating.
 
-    Raises GraphError on out-of-range endpoints or self-loops.
+    Raises GraphError on out-of-range endpoints or self-loops, and on an
+    ``n`` above ``MAX_VERTICES`` before reading ``pairs``.
     """
     if n < 0:
         raise GraphError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise GraphError(f"graph has {n} vertices, above the limit of {MAX_VERTICES}")
     seen: set[tuple[int, int]] = set()
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
@@ -140,29 +147,31 @@ def path_graph(n: int) -> Graph:
     """The path v0-v1-...-v(n-1); n = 0 gives the empty graph."""
     if n < 0:
         raise GraphError("vertex count must be non-negative")
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def star_graph(n: int) -> Graph:
     """Star with center 0 and n-1 leaves."""
     if n < 1:
         raise GraphError("star needs at least one vertex")
-    return from_edges(n, [(0, i) for i in range(1, n)])
+    return from_edges(n, ((0, i) for i in range(1, n)))
 
 
 def spider_graph(leg_lengths: Sequence[int]) -> Graph:
     """Paths of the given lengths all attached to a shared center 0."""
     if any(k < 1 for k in leg_lengths):
         raise GraphError("leg lengths must be positive")
-    edges = []
-    nxt = 1
-    for k in leg_lengths:
-        prev = 0
-        for _ in range(k):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return from_edges(nxt, edges)
+
+    def legs():
+        nxt = 1
+        for k in leg_lengths:
+            prev = 0
+            for _ in range(k):
+                yield prev, nxt
+                prev = nxt
+                nxt += 1
+
+    return from_edges(1 + sum(leg_lengths), legs())
 
 
 def cut_size_of_mask(g: Graph, mask: int) -> int:

@@ -37,11 +37,10 @@ from .game import (
     Objective,
     Player,
     Variant,
-    _mover,
     apply_move,
-    children,
     is_legal,
     is_terminal,
+    legal_moves,
     new_game,
     to_move,
 )
@@ -88,7 +87,7 @@ class Sweep:
         self._failed = g.edge_count + 1 if self._maximizing else -g.edge_count - 1
         self._start = new_game(g, variant)
         # the strategy moves when labelled + passes has this parity
-        self._role_parity = 0 if _mover(self._start, 0) is role else 1
+        self._role_parity = 0 if to_move(self._start) is role else 1
         # only the one player may pass, so only a zero-player strategy's
         # adversary holds the variant's passes
         self._adversary_passes = variant.pass_budget if role is Player.ZERO else 0
@@ -199,8 +198,12 @@ class Sweep:
                 child = apply_move(state, move)
             else:
                 target = value(state, strat, last)
-                move, child = next((m, c) for m, c in children(state)
-                                   if value(c, strat.after(m, mover), m) == target)
+                for move in legal_moves(state):
+                    child = apply_move(state, move)
+                    if value(child, strat.after(move, mover), move) == target:
+                        break
+                else:  # pragma: no cover - would indicate a memo bug
+                    raise RuntimeError("no reply keeps the memoized value")
             strat = strat.after(move, mover)
             line.append(move)
             state = child

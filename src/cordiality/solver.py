@@ -61,8 +61,9 @@ from .game import (
     ONE_STARTS,
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
-    children,
+    apply_move,
     is_terminal,
+    legal_moves,
     new_game,
     to_move,
 )
@@ -388,7 +389,7 @@ class _Searcher:
 def _descend_line(searcher: _Searcher, value: int) -> list[Move]:
     """The lowest-index line along which every position keeps ``value``.
 
-    The game rules order the tries: ``children`` gives ascending vertices
+    The game rules order the tries: ``legal_moves`` gives ascending vertices
     with any pass last.  The mover's children all lie on one side of the
     value: at or above it when the zero player moves, at or below it when
     the one player does.  So a child keeps the value iff its value is proven
@@ -402,7 +403,8 @@ def _descend_line(searcher: _Searcher, value: int) -> list[Move]:
             lo, hi = value, searcher.edge_count
         else:
             lo, hi = searcher.floor, value
-        for move, child in children(state):
+        for move in legal_moves(state):
+            child = apply_move(state, move)
             if searcher.bounds(child.zero_mask, child.one_mask, child.passes_used,
                                lo, hi, target=value) == (value, value):
                 line.append(move)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, from_edges
 
@@ -12,13 +11,6 @@ MAX_ENUM_ORDER = 12
 
 class NonTreeError(GraphError):
     """Operation requires a tree."""
-
-
-@dataclass(frozen=True)
-class TreeCode:
-    """Canonical string code of a tree; equal codes mean isomorphic trees."""
-
-    code: str
 
 
 def _rooted_bfs(g: Graph, root: int) -> tuple[dict[int, int], list[int]]:
@@ -66,10 +58,10 @@ def _rooted_code(g: Graph, root: int) -> str:
     return codes[root]
 
 
-def tree_canonical_code(g: Graph) -> TreeCode:
-    """Canonical code rooted at the centroid (ties: lexicographically smaller)."""
-    cs = centroids(g)
-    return TreeCode(min(_rooted_code(g, c) for c in cs))
+def tree_canonical_code(g: Graph) -> str:
+    """Canonical code rooted at the centroid (ties: lexicographically smaller);
+    equal codes mean isomorphic trees."""
+    return min(_rooted_code(g, c) for c in centroids(g))
 
 
 def prufer_decode(seq: list[int], n: int) -> Graph:
@@ -113,7 +105,7 @@ def enumerate_trees(n: int) -> list[Graph]:
         for tree in reps.values():
             for v in range(tree.n):
                 bigger = from_edges(size, list(tree.edges) + [(v, size - 1)])
-                code = tree_canonical_code(bigger).code
+                code = tree_canonical_code(bigger)
                 if code not in grown:
                     grown[code] = bigger
         reps = grown

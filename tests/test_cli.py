@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -144,7 +146,7 @@ def test_table_small_values_and_schema():
     code, text = run_cli(["table", "--min-n", "3", "--max-n", "6", "--format", "csv"])
     assert code == 0
     lines = text.strip().splitlines()
-    assert lines[0] == "n,cg,cg_i,cg_ip,bg,path_bound,bound_ok,parity_ok,skipped"
+    assert lines[0] == "n,cg,cg_i,cg_ip,bg,path_bound,bound_ok,parity_ok"
     rows = {int(line.split(",")[0]): line.split(",") for line in lines[1:]}
     assert rows[3][1:5] == ["0", "0", "0", "0"]
     assert rows[4][1:5] == ["1", "1", "1", "1"]
@@ -213,6 +215,28 @@ def test_verify_failed_terminal_check_exits_one_with_witness(monkeypatch):
         assert not record["pass"]
         assert record["worst_case"] == -n  # -|E| - 1 on the n-path
         assert sorted(record["witness_line"]) == list(range(n))
+
+
+@pytest.mark.parametrize("fixture, name", [("small-paths", "solve"),
+                                           ("mb-equiv", "maker_breaker_value")])
+def test_verify_failing_value_record_alone_exits_one(monkeypatch, fixture, name):
+    # one value off by two on P4 under variant I; every sweep still passes
+    original = getattr(cli, name)
+
+    def off_on_p4(g, variant, objective, **kwargs):
+        got = original(g, variant, objective, **kwargs)
+        if (emit_graph6(g), variant.code) != (emit_graph6(path_graph(4)), "I"):
+            return got
+        return dataclasses.replace(got, value=got.value + 2) if name == "solve" else got + 2
+
+    monkeypatch.setattr(cli, name, off_on_p4)
+    code, text = run_cli(["verify", fixture, "--max-n", "5"])
+    assert code == 1
+    records = jsonl(text)
+    failed = [r for r in records if not r["pass"]]
+    assert len(failed) == 1 and failed[0]["graph"] == emit_graph6(path_graph(4))
+    assert "worst_case" not in failed[0]
+    assert any("worst_case" in r for r in records) == (fixture == "small-paths")
 
 
 def test_verify_output_is_pinned():
@@ -368,6 +392,36 @@ def test_probe_balance_refuses_max_n_past_the_solver_cap_before_sampling(monkeyp
     code, text = run_cli(["probe-balance", "--max-n", "23"])
     assert (code, text) == (3, "")
     assert "supports --max-n up to 22" in capsys.readouterr().err
+
+
+def test_table_refuses_max_n_past_the_solver_cap_before_any_work(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "path_graph", no_work)
+    monkeypatch.setattr(cli, "solve", no_work)
+    code, text = run_cli(["table", "--max-n", "23"])
+    assert (code, text) == (3, "")
+    assert "supports --max-n up to 22" in capsys.readouterr().err
+
+
+def test_graphs_above_the_vertex_limit_are_input_errors(tmp_path, capsys):
+    # each is refused before its neighbour masks are built, so at once
+    path = tmp_path / "far.txt"
+    path.write_text("0 1000000000\n")
+    for argv in (["solve", "--graph", "path:1000000000"],
+                 ["solve", "--graph", "star:1000000000"],
+                 ["solve", "--graph", "spider:1000000000"],
+                 ["solve", "--edge-list", "--file", str(path)],
+                 ["solve", "--graph", "path:10001", "--force"]):
+        start = time.perf_counter()
+        code, text = run_cli(argv)
+        assert (code, text) == (2, ""), argv
+        assert time.perf_counter() - start < 1, argv
+        assert "above the limit of 10000" in capsys.readouterr().err, argv
+    # at the limit the graph is built, and the solver's cap refuses it
+    code, text = run_cli(["solve", "--graph", "path:10000"])
+    assert (code, text) == (3, "")
 
 
 def test_inverted_order_ranges_are_refused(monkeypatch, capsys):

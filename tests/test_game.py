@@ -12,7 +12,6 @@ from cordiality import (
     ONE_STARTS_WITH_PASS,
     ZERO_STARTS,
     apply_move,
-    children,
     is_legal,
     is_terminal,
     legal_moves,
@@ -150,7 +149,6 @@ def test_is_legal_matches_legal_moves(variant):
                 moves = legal_moves(state)
                 for move in candidates:
                     assert is_legal(state, move) == (move in moves), (state, move)
-                assert children(state) == [(m, apply_move(state, m)) for m in moves], state
                 assert not state.zero_mask & state.one_mask
                 if is_terminal(state):
                     break
@@ -159,4 +157,5 @@ def test_is_legal_matches_legal_moves(variant):
     state = replay(path_graph(70), variant, [Move.label(66), Move.label(3)])
     moves = legal_moves(state)
     assert len(moves) == 68 + (variant.pass_budget == 1)
-    assert children(state) == [(m, apply_move(state, m)) for m in moves]
+    assert all(is_legal(state, m) for m in moves)
+    assert not is_legal(state, Move.label(66))

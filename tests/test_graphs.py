@@ -14,7 +14,7 @@ from cordiality import (
     star_graph,
     winning_family,
 )
-from cordiality.graphs import component, cut_size_of_mask, path_walk, vertex_mask
+from cordiality.graphs import MAX_VERTICES, component, cut_size_of_mask, path_walk, vertex_mask
 
 
 def test_path_graph_shapes():
@@ -36,6 +36,19 @@ def test_from_edges_validation_and_dedup():
         from_edges(3, [(0, 3)])
     with pytest.raises(GraphError):
         from_edges(3, [(1, 1)])
+
+
+def test_graphs_above_the_vertex_limit_are_refused_before_their_edges_are_read():
+    def unread():
+        raise AssertionError("edges were read")
+        yield
+
+    with pytest.raises(GraphError, match="above the limit of 10000"):
+        from_edges(MAX_VERTICES + 1, unread())
+    for build in (path_graph, star_graph, lambda n: spider_graph([n - 1])):
+        assert build(MAX_VERTICES).n == MAX_VERTICES
+        with pytest.raises(GraphError, match="above the limit"):
+            build(10**9)
 
 
 def test_random_connected_graph_refuses_probabilities_outside_unit_interval():

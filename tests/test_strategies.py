@@ -136,7 +136,7 @@ def test_find_branch_total_on_enumerated_trees():
             d = find_branch(tree)
             assert d.case_id in range(1, 8)
             assert d.branch_mask.bit_count() in (2, 4, 6)
-            assert d.remainder_mask >> d.attach & 1
+            assert d.remainder_mask >> d.roles["v"] & 1
             assert not d.branch_mask & d.remainder_mask
             assert d.branch_mask | d.remainder_mask == tree.full_mask
 

@@ -25,7 +25,7 @@ def test_enumeration_counts():
 def test_enumeration_members_are_trees_without_duplicates():
     for n in range(1, 10):
         trees = enumerate_trees(n)
-        codes = [tree_canonical_code(t).code for t in trees]
+        codes = [tree_canonical_code(t) for t in trees]
         assert len(set(codes)) == len(trees)
         for t in trees:
             assert t.is_tree()
@@ -46,7 +46,7 @@ def enumerate_trees_via_prufer(n: int) -> list[Graph]:
     seq = [0] * (n - 2)
     while True:
         tree = prufer_decode(seq, n)
-        code = tree_canonical_code(tree).code
+        code = tree_canonical_code(tree)
         if code not in reps:
             reps[code] = tree
         i = n - 3
@@ -61,8 +61,8 @@ def enumerate_trees_via_prufer(n: int) -> list[Graph]:
 
 def test_enumeration_agrees_with_prufer_sweep():
     for n in range(2, 8):
-        grown = {tree_canonical_code(t).code for t in enumerate_trees(n)}
-        swept = {tree_canonical_code(t).code for t in enumerate_trees_via_prufer(n)}
+        grown = {tree_canonical_code(t) for t in enumerate_trees(n)}
+        swept = {tree_canonical_code(t) for t in enumerate_trees_via_prufer(n)}
         assert grown == swept
 
 
@@ -78,7 +78,7 @@ def test_canonical_code_isomorphism_invariance():
     relabeled = from_edges(4, [(2, 0), (0, 3), (3, 1)])  # 2-0-3-1 path
     assert tree_canonical_code(p4) == tree_canonical_code(relabeled)
     assert tree_canonical_code(p4) != tree_canonical_code(star_graph(4))
-    assert tree_canonical_code(path_graph(1)).code == "()"
+    assert tree_canonical_code(path_graph(1)) == "()"
 
 
 def test_canonical_code_rejects_non_trees():
