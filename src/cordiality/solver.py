@@ -14,12 +14,12 @@ order, only until the child is shown to keep the value or to miss it.
 The table capacity changes only the work, never the value: a table that
 reaches ``TABLE_CAPACITY`` entries is cleared and refilled, so the search
 keeps caching its newest positions (capacity 0 keeps one entry at a time).
-A position with two free vertices, or with three and a mover that cannot
-pass, is valued in closed form: it is never probed, stored or counted, so
-``SolveResult.nodes`` counts only the positions searched through the
-table.  On a path numbered in path order with at least
-``_REVERSAL_MIN_N`` vertices, a position and its mirror image share one
-table key.
+A position with two free vertices, with three and a mover that cannot
+pass, or with four and no pass left, is valued in closed form: it is never
+probed, stored or counted, so ``SolveResult.nodes`` counts only the
+positions searched through the table.  On a path numbered in path order
+with at least ``_REVERSAL_MIN_N`` vertices, a position and its mirror
+image share one table key.
 
 Move order changes only the work.  Under cordiality every position tries
 free vertices in one static order, highest degree first: the score is
@@ -83,12 +83,12 @@ _REVERSAL_MIN_N = 15
 # Under balance, a position with at least this many free vertices tries the
 # mover's labels in ascending order of swing (see _Searcher._make_search).
 # Solving the 160 graphs of perfbench's random-batch corpus (seed 1) with
-# lines, on a 2 GHz Xeon core: the static order expands 279 932 nodes in
-# 0.81 s; swing order from six free vertices 177 951 nodes in 0.56-0.59 s,
-# from five 166 219 in 0.52 s, from four 160 460 in 0.53-0.57 s.  Below
-# five the saved nodes do not pay for the sort, since the children of a
-# four-free position are closed-form endgames.
-_SWING_MIN_FREE = 5
+# lines, with four-free positions in closed form: swing order from five
+# free vertices expands 82 467 nodes, from six 82 757 and from seven
+# 94 977, and from six is the fastest on a 2 GHz Xeon core.  Below six the
+# few saved nodes do not pay for the sort, since the children of a
+# five-free position are closed-form endgames unless a pass is left.
+_SWING_MIN_FREE = 6
 
 _REV8 = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
@@ -212,6 +212,77 @@ class _Searcher:
                 return abs(d) if cordiality else d
             can_pass = not zero_to_move and passes < budget
             count = free.bit_count()
+            if count == 4 and passes >= budget:
+                # Closed-form endgame with no pass left: the mover labels two
+                # free vertices, x and then y, and the opponent the other two,
+                # so the score depends on the pair {x, y} alone.  After x the
+                # opponent faces a three-free position, worth the median of
+                # x's three pair scores (below), and the mover picks x.
+                if zero_to_move:
+                    mine = zero
+                    theirs = one | free
+                else:
+                    mine = one
+                    theirs = zero | free
+                a_bit = free & -free
+                rest = free ^ a_bit
+                b_bit = rest & -rest
+                rest ^= b_bit
+                c_bit = rest & -rest
+                d_bit = rest ^ c_bit
+                a_adj = adj[a_bit.bit_length() - 1]
+                b_adj = adj[b_bit.bit_length() - 1]
+                c_adj = adj[c_bit.bit_length() - 1]
+                d_adj = adj[d_bit.bit_length() - 1]
+                a_m = (a_adj & mine).bit_count()
+                b_m = (b_adj & mine).bit_count()
+                c_m = (c_adj & mine).bit_count()
+                d_m = (d_adj & mine).bit_count()
+                # the signed score with every free vertex the opponent's
+                # (theirs), and what moving u to the mover adds to it
+                base = 2 * (cross + a_m + b_m + c_m + d_m) - edge_count
+                t_a = 2 * ((a_adj & theirs).bit_count() - a_m)
+                t_b = 2 * ((b_adj & theirs).bit_count() - b_m)
+                t_c = 2 * ((c_adj & theirs).bit_count() - c_m)
+                t_d = 2 * ((d_adj & theirs).bit_count() - d_m)
+                # the score when the mover holds {x, y}: an edge x ~ y is not cut
+                s_ab = base + t_a + t_b - (4 if a_adj & b_bit else 0)
+                s_ac = base + t_a + t_c - (4 if a_adj & c_bit else 0)
+                s_ad = base + t_a + t_d - (4 if a_adj & d_bit else 0)
+                s_bc = base + t_b + t_c - (4 if b_adj & c_bit else 0)
+                s_bd = base + t_b + t_d - (4 if b_adj & d_bit else 0)
+                s_cd = base + t_c + t_d - (4 if c_adj & d_bit else 0)
+                if cordiality:
+                    s_ab, s_ac, s_ad = abs(s_ab), abs(s_ac), abs(s_ad)
+                    s_bc, s_bd, s_cd = abs(s_bc), abs(s_bd), abs(s_cd)
+                # m_x: the median of x's three pair scores
+                if s_ab < s_ac:
+                    m_a = s_ab if s_ad <= s_ab else s_ad if s_ad < s_ac else s_ac
+                else:
+                    m_a = s_ac if s_ad <= s_ac else s_ad if s_ad < s_ab else s_ab
+                if s_ab < s_bc:
+                    m_b = s_ab if s_bd <= s_ab else s_bd if s_bd < s_bc else s_bc
+                else:
+                    m_b = s_bc if s_bd <= s_bc else s_bd if s_bd < s_ab else s_ab
+                if s_ac < s_bc:
+                    m_c = s_ac if s_cd <= s_ac else s_cd if s_cd < s_bc else s_bc
+                else:
+                    m_c = s_bc if s_cd <= s_bc else s_cd if s_cd < s_ac else s_ac
+                if s_ad < s_bd:
+                    m_d = s_ad if s_cd <= s_ad else s_cd if s_cd < s_bd else s_bd
+                else:
+                    m_d = s_bd if s_cd <= s_bd else s_cd if s_cd < s_ad else s_ad
+                if zero_to_move:
+                    if m_b < m_a:
+                        m_a = m_b
+                    if m_d < m_c:
+                        m_c = m_d
+                    return m_a if m_a < m_c else m_c
+                if m_b > m_a:
+                    m_a = m_b
+                if m_d > m_c:
+                    m_c = m_d
+                return m_a if m_a > m_c else m_c
             if count == 2 or (count == 3 and not can_pass):
                 # Closed-form endgame: the mover labels every free vertex but
                 # one, y, which the opponent labels, so the score depends on

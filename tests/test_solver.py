@@ -130,23 +130,25 @@ def test_balance_node_count_is_pinned():
     # A regression guard on search work: a change that moves this total
     # records the before and after counts in CHANGES.md.  The static degree
     # order expanded 10961 nodes here; swing order from five free vertices
-    # expands 6902, and skipping twins 6840.
+    # expanded 6902, and skipping twins 6840; valuing four-free positions in
+    # closed form, with swing order from six free vertices, expands 3708.
     rng = random.Random(2024)
     graphs = [random_connected_graph(n, 0.4, rng) for n in (8, 9, 10) for _ in range(4)]
     total = sum(solve(g, ZERO_STARTS, Objective.BALANCE, line=True).nodes for g in graphs)
-    assert total == 6840
+    assert total == 3708
 
 
 def test_star_node_count_is_pinned():
     # The leaves of a star are twins, so the search tries one free leaf per
-    # position: without twin pruning these solves expand 281236 nodes.
+    # position: without twin pruning these solves expand 281236 nodes, with
+    # it 1894, and with four-free positions valued in closed form 1634.
     total = sum(
         solve(star_graph(n), variant, objective).nodes
         for n in range(8, 16)
         for variant in ALL_VARIANTS
         for objective in (Objective.CORDIALITY, Objective.BALANCE)
     )
-    assert total == 1894
+    assert total == 1634
 
 
 def test_oracle_equals_solver_on_small_paths_and_trees():
@@ -216,13 +218,14 @@ def test_endgame_closed_form_matches_plain_recursion():
     rng = random.Random(2718)
     graphs = [tree for n in range(2, 8) for tree in enumerate_trees(n)]
     graphs += [random_connected_graph(n, 0.5, rng) for n in (6, 7, 8, 8)]
-    inputs = [(g, (2, 3)) for g in graphs]  # every endgame position
+    inputs = [(g, (2, 3, 4)) for g in graphs]  # every endgame position
     # every position at any free count, so the root probe loop also meets
     # balance values below its first window at the parity floor
     small = [tree for n in range(1, 7) for tree in enumerate_trees(n)]
     small += [random_connected_graph(n, 0.5, rng) for n in (6, 7)]
     inputs += [(g, range(g.n + 1)) for g in small]
     one_may_pass_at_three = 0
+    pass_left_at_four = 0
     below_first_window = 0
     for g, free_counts in inputs:
         for variant in ALL_VARIANTS:
@@ -230,6 +233,7 @@ def test_endgame_closed_form_matches_plain_recursion():
             for state in states:
                 free_count = g.n - (state.zero_mask | state.one_mask).bit_count()
                 one_may_pass_at_three += free_count == 3 and PASS in legal_moves(state)
+                pass_left_at_four += free_count == 4 and state.passes_used < variant.pass_budget
             for objective in (Objective.CORDIALITY, Objective.BALANCE):
                 searcher = _Searcher(g, variant, objective)
                 reference = position_values(g, variant, objective)
@@ -241,6 +245,7 @@ def test_endgame_closed_form_matches_plain_recursion():
                     below_first_window += value < g.edge_count % 2
     # the positions where the closed form must not fire are among those checked
     assert one_may_pass_at_three > 0
+    assert pass_left_at_four > 0
     assert below_first_window > 0
 
 
@@ -272,7 +277,8 @@ def test_principal_line_is_lowest_index_optimal_line(monkeypatch):
     both = (Objective.CORDIALITY, Objective.BALANCE)
     cases = [(g, both) for g in graphs]
     # dense graphs where balance positions with at least _SWING_MIN_FREE
-    # free vertices search moves in swing order, not index order
+    # free vertices search moves in swing order, not index order: on these
+    # n = 8 graphs, positions with six and seven free vertices
     cases += [(random_connected_graph(8, 0.45, rng), (Objective.BALANCE,)) for _ in range(4)]
     for g, objectives in cases:
         for variant in ALL_VARIANTS:
