@@ -57,6 +57,7 @@ from .trees import (
     enumerate_trees,
     prufer_decode,
     tree_canonical_code,
+    trees_by_order,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

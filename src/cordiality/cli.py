@@ -48,7 +48,7 @@ from .strategies import (
     tree_bound,
     tree_strategy,
 )
-from .trees import MAX_ENUM_ORDER, enumerate_trees, prufer_decode
+from .trees import MAX_ENUM_ORDER, enumerate_trees, prufer_decode, trees_by_order
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -254,9 +254,11 @@ def _verify_path_bound(records, max_n) -> None:
 
 
 def _verify_tree_bound(records, max_n) -> None:
-    for n in range(2, max_n + 1):
+    for n, trees in enumerate(trees_by_order(max_n), 1):
+        if n < 2:
+            continue
         bound = tree_bound(n)
-        for g in enumerate_trees(n):
+        for g in trees:
             _check_strategy(records, "tree-bound", g, tree_strategy(g), ZERO_STARTS,
                             Objective.CORDIALITY, bound)
 
@@ -275,8 +277,9 @@ def _verify_balance_bound(records, max_n) -> None:
 
 def _verify_mb_equiv(records, max_n) -> None:
     subjects = [path_graph(n) for n in range(2, max_n + 1)]
-    for n in range(2, min(max_n, 6) + 1):
-        subjects.extend(enumerate_trees(n))
+    for n, trees in enumerate(trees_by_order(min(max_n, 6)), 1):
+        if n >= 2:
+            subjects.extend(trees)
     for g in subjects:
         for name, (variant, objective) in GAME_NUMBERS.items():
             mb = maker_breaker_value(g, variant, objective)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+from typing import Iterator
 
 from .graphs import Graph, GraphError, from_edges
 
@@ -13,16 +14,58 @@ class NonTreeError(GraphError):
     """Operation requires a tree."""
 
 
-def _rooted_bfs(g: Graph, root: int) -> tuple[dict[int, int], list[int]]:
-    """Each reachable vertex's parent (the root's is -1), and the vertices in BFS order."""
-    parent = {root: -1}
+def _bfs(nbrs: list[list[int]], root: int) -> tuple[list[int], list[int]]:
+    """Each vertex's parent (the root's is -1), and the vertices in BFS order."""
+    parent = [-1] * len(nbrs)
     order = [root]
     for v in order:
-        for u in g.neighbors(v):
-            if u not in parent:
+        up = parent[v]
+        for u in nbrs[v]:
+            if u != up:
                 parent[u] = v
                 order.append(u)
     return parent, order
+
+
+def _centroids(nbrs: list[list[int]]) -> list[int]:
+    n = len(nbrs)
+    parent, order = _bfs(nbrs, 0)
+    size = [1] * n
+    heaviest = [0] * n  # largest child subtree
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            size[p] += size[v]
+            heaviest[p] = max(heaviest[p], size[v])
+    weight = [max(heaviest[v], n - size[v]) for v in range(n)]
+    best = min(weight)
+    return [v for v in range(n) if weight[v] == best]
+
+
+def _canonical_code(nbrs: list[list[int]]) -> str:
+    """The smallest centroid-rooted code of the tree with these neighbour lists.
+
+    A rooted code is "(" + the sorted codes of the root's subtrees + ")",
+    so it does not depend on the vertex numbering.
+    """
+    codes = []
+    for root in _centroids(nbrs):
+        parent, order = _bfs(nbrs, root)
+        below: list[list[str]] = [[] for _ in nbrs]
+        for v in reversed(order):
+            kids = below[v]
+            kids.sort()
+            code = "(" + "".join(kids) + ")"
+            if v != root:
+                below[parent[v]].append(code)
+        codes.append(code)  # the root comes last
+    return min(codes)
+
+
+def _neighbor_lists(g: Graph) -> list[list[int]]:
+    if not g.is_tree():
+        raise NonTreeError("canonical codes and centroids are defined for trees only")
+    return [list(g.neighbors(v)) for v in range(g.n)]
 
 
 def centroids(g: Graph) -> list[int]:
@@ -30,38 +73,13 @@ def centroids(g: Graph) -> list[int]:
 
     Every tree has one centroid or two adjacent ones.
     """
-    if not g.is_tree():
-        raise NonTreeError("centroid is defined for trees only")
-    if g.n <= 2:
-        return list(range(g.n))
-    parent, order = _rooted_bfs(g, 0)
-    size = [1] * g.n
-    heaviest = [0] * g.n  # largest child subtree
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            size[p] += size[v]
-            heaviest[p] = max(heaviest[p], size[v])
-    weight = [max(heaviest[v], g.n - size[v]) for v in range(g.n)]
-    best = min(weight)
-    return [v for v in range(g.n) if weight[v] == best]
-
-
-def _rooted_code(g: Graph, root: int) -> str:
-    # Iterative post-order; children codes are sorted so the code is
-    # invariant under relabeling.
-    parent, order = _rooted_bfs(g, root)
-    codes: dict[int, str] = {}
-    for v in reversed(order):
-        children = sorted(codes[u] for u in g.neighbors(v) if parent.get(u) == v)
-        codes[v] = "(" + "".join(children) + ")"
-    return codes[root]
+    return _centroids(_neighbor_lists(g))
 
 
 def tree_canonical_code(g: Graph) -> str:
     """Canonical code rooted at the centroid (ties: lexicographically smaller);
     equal codes mean isomorphic trees."""
-    return min(_rooted_code(g, c) for c in centroids(g))
+    return _canonical_code(_neighbor_lists(g))
 
 
 def prufer_decode(seq: list[int], n: int) -> Graph:
@@ -90,23 +108,46 @@ def prufer_decode(seq: list[int], n: int) -> Graph:
     return from_edges(n, edges)
 
 
-def enumerate_trees(n: int) -> list[Graph]:
-    """One representative per isomorphism class of trees on n vertices.
+def trees_by_order(max_n: int) -> Iterator[list[Graph]]:
+    """``enumerate_trees(n)`` for n = 1, 2, ..., ``max_n``, growing each order once.
 
-    Grows representatives by attaching a new leaf to every vertex of every
-    class on n-1 vertices and deduplicating by canonical code.  Output is
-    sorted by code, so the order is deterministic.
+    Each class on ``size`` vertices is grown from the classes on ``size - 1``,
+    in the order they were first seen, by attaching leaf ``size - 1`` to each
+    vertex in turn; a candidate is kept, and its ``Graph`` built, only when
+    its canonical code is new.  Each order is yielded sorted by code.
     """
-    if not 1 <= n <= MAX_ENUM_ORDER:
+    if not 1 <= max_n <= MAX_ENUM_ORDER:
         raise GraphError(f"supported range is 1..{MAX_ENUM_ORDER}")
-    reps = {"()": from_edges(1, [])}
-    for size in range(2, n + 1):
+    return _grow(max_n)
+
+
+def _grow(max_n: int) -> Iterator[list[Graph]]:
+    level = {"()": from_edges(1, [])}  # code -> representative, in first-seen order
+    yield list(level.values())
+    for size in range(2, max_n + 1):
+        leaf = size - 1
         grown: dict[str, Graph] = {}
-        for tree in reps.values():
-            for v in range(tree.n):
-                bigger = from_edges(size, list(tree.edges) + [(v, size - 1)])
-                code = tree_canonical_code(bigger)
+        for tree in level.values():
+            # attach the leaf to each vertex in turn, in place
+            nbrs = [list(tree.neighbors(v)) for v in range(leaf)] + [[]]
+            for v in range(leaf):
+                nbrs[v].append(leaf)
+                nbrs[leaf].append(v)
+                code = _canonical_code(nbrs)
                 if code not in grown:
-                    grown[code] = bigger
-        reps = grown
-    return [reps[code] for code in sorted(reps)]
+                    grown[code] = from_edges(size, tree.edges + ((v, leaf),))
+                nbrs[v].pop()
+                nbrs[leaf].pop()
+        level = grown
+        yield [level[code] for code in sorted(level)]
+
+
+def enumerate_trees(n: int) -> list[Graph]:
+    """One representative per isomorphism class of trees on n vertices,
+    sorted by canonical code, so the order is deterministic.
+
+    This drains ``trees_by_order(n)``; a caller that needs every order up to
+    n should walk that generator instead of calling this once per order.
+    """
+    *_, trees = trees_by_order(n)
+    return trees

@@ -9,10 +9,10 @@ import pytest
 from cordiality import (
     Graph,
     emit_graph6,
-    enumerate_trees,
     game_number,
     path_graph,
     random_connected_graph,
+    trees_by_order,
 )
 
 CORPUS_SEED = 8191
@@ -45,7 +45,8 @@ def random_corpus() -> list[Graph]:
 
 @pytest.fixture(scope="session")
 def tree_corpus() -> dict[int, list[Graph]]:
-    return {n: enumerate_trees(n) for n in range(2, TREE_CORPUS_MAX_N + 1)}
+    orders = enumerate(trees_by_order(TREE_CORPUS_MAX_N), 1)
+    return {n: trees for n, trees in orders if n >= 2}
 
 
 @pytest.fixture(scope="session")

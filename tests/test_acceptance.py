@@ -231,4 +231,8 @@ def test_c13_parity_and_bounds_across_corpus(full_corpus, solved):
                 assert -g.edge_count <= value <= g.edge_count
             else:
                 assert 0 <= value <= g.edge_count
-    verdict("every solved value matches the edge-count parity and range across the corpus")
+        # the 1-player's optimal balance play guarantees e1 - e0 >= bg, and
+        # |e1 - e0| >= e1 - e0, so the cordiality value is never below bg
+        assert solved(g, "cg") >= solved(g, "bg"), g.edges
+    verdict("every solved value matches the edge-count parity and range, and cg >= bg, "
+            "across the corpus")

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cordiality import (
@@ -5,13 +7,16 @@ from cordiality import (
     GraphError,
     NonTreeError,
     centroids,
+    emit_graph6,
     enumerate_trees,
     from_edges,
     path_graph,
     prufer_decode,
     star_graph,
     tree_canonical_code,
+    trees_by_order,
 )
+from cordiality.trees import MAX_ENUM_ORDER
 
 # number of unlabeled trees per order (classic counting sequence)
 TREE_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235}
@@ -30,6 +35,28 @@ def test_enumeration_members_are_trees_without_duplicates():
         for t in trees:
             assert t.is_tree()
             assert t.edge_count == n - 1
+
+
+# sha256 of ``cordiality trees N`` (one graph6 line per tree): the
+# representatives, their vertex numbering and their order.  The pinned
+# tree-bound verify output depends on all three.
+TREES_OUTPUT_SHA256 = {
+    10: "ef662765a76f235191e179792663d7e711f5f9b20c0a9c590c28163476eaf94c",
+    12: "366906f752d80ec1fce983a77e8cc37e922e76a93e4130415b0253603afc461e",
+}
+
+
+def test_enumeration_output_is_pinned():
+    for n, digest in TREES_OUTPUT_SHA256.items():
+        text = "".join(emit_graph6(t) + "\n" for t in enumerate_trees(n))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, n
+
+
+def test_order_walk_yields_each_enumeration():
+    walked = list(trees_by_order(MAX_ENUM_ORDER))
+    assert len(walked) == MAX_ENUM_ORDER
+    for n, trees in enumerate(walked, 1):
+        assert trees == enumerate_trees(n), n
 
 
 def enumerate_trees_via_prufer(n: int) -> list[Graph]:
@@ -71,6 +98,11 @@ def test_enumeration_range_check():
         enumerate_trees(0)
     with pytest.raises(GraphError):
         enumerate_trees(13)
+    # the walk refuses when called, before it is iterated
+    with pytest.raises(GraphError):
+        trees_by_order(0)
+    with pytest.raises(GraphError):
+        trees_by_order(MAX_ENUM_ORDER + 1)
 
 
 def test_canonical_code_isomorphism_invariance():
