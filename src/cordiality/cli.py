@@ -26,7 +26,7 @@ import sys
 from functools import partial
 from multiprocessing import Pool
 
-from .game import Objective, Player, VARIANT_CODES, ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS
+from .game import PASS, Move, Objective, Player, VARIANT_CODES, ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS
 from .graph6 import Graph6Error, emit_graph6, parse_edge_list, parse_graph6_file
 from .graphs import (
     MAX_VERTICES,
@@ -132,6 +132,11 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
         out.write("  ".join(str(record.get(f, "")).ljust(widths[f]) for f in fields) + "\n")
 
 
+def line_json(line: list[Move]) -> list:
+    """A move line as written: each vertex, and "pass" for a pass."""
+    return ["pass" if move is PASS else move for move in line]
+
+
 def solve_record(g: Graph, variant_code: str, objective_value: str, max_n: int | None) -> dict:
     """The output record of one solve; module-level so a pool worker can run it."""
     result = solve(g, VARIANT_CODES[variant_code], Objective(objective_value), max_n=max_n)
@@ -142,7 +147,7 @@ def solve_record(g: Graph, variant_code: str, objective_value: str, max_n: int |
         "objective": objective_value,
         "value": result.value,
         "nodes": result.nodes,
-        "principal_line": [m.to_json() for m in result.principal_line],
+        "principal_line": line_json(result.principal_line),
     }
 
 
@@ -208,7 +213,7 @@ def _check_strategy(records, fixture, g, strategy, variant, objective, bound,
         "pass": ok,
     }
     if not ok:
-        record["witness_line"] = [m.to_json() for m in sweep.line()]
+        record["witness_line"] = line_json(sweep.line())
     records.append(record)
 
 

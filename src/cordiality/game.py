@@ -15,14 +15,15 @@ the last two labels of an odd path to the zero player).
 
 A position stores the two label sets as vertex bitmasks (bit v set means
 vertex v carries that label), the same encoding the solver, the oracle and
-the Maker-Breaker solver use.
+the Maker-Breaker solver use.  A move is the vertex it labels, a plain
+int (not a bool), or ``PASS`` (None) for a pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from .graphs import Graph, cut_size_of_mask, iter_bits
 
@@ -70,38 +71,8 @@ VARIANT_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class Move:
-    """Either a vertex label or a pass (vertex None)."""
-
-    vertex: int | None
-
-    @property
-    def is_pass(self) -> bool:
-        return self.vertex is None
-
-    @classmethod
-    def label(cls, v: int) -> "Move":
-        """The move labelling ``v``: one shared instance per vertex below
-        ``_SHARED_LABELS``, a fresh one otherwise (out-of-range vertices
-        included, which ``is_legal`` then rejects)."""
-        if isinstance(v, int) and 0 <= v < _SHARED_LABELS:
-            return _LABELS[v]
-        return cls(v)
-
-    def to_json(self) -> int | str:
-        return "pass" if self.vertex is None else self.vertex
-
-    def __repr__(self) -> str:
-        return "Move(pass)" if self.is_pass else f"Move({self.vertex})"
-
-
-PASS = Move(None)
-
-# every graph the solver accepts without --force fits; label moves are
-# built once here, since the harness and the descent make them by the thousand
-_SHARED_LABELS = 64
-_LABELS = tuple(Move(v) for v in range(_SHARED_LABELS))
+Move = Optional[int]
+PASS = None
 
 
 class IllegalMoveError(ValueError):
@@ -158,7 +129,7 @@ def legal_moves(state: GameState) -> list[Move]:
     labeled = occupied.bit_count()
     if labeled == state.n:
         return []
-    moves = [Move.label(v) for v in iter_bits(((1 << state.n) - 1) & ~occupied)]
+    moves: list[Move] = list(iter_bits(((1 << state.n) - 1) & ~occupied))
     if _may_pass(state, labeled):
         moves.append(PASS)
     return moves
@@ -168,12 +139,11 @@ def is_legal(state: GameState, move: Move) -> bool:
     """Whether ``move`` is among ``legal_moves(state)``, without building it."""
     occupied = state.zero_mask | state.one_mask
     labeled = occupied.bit_count()
-    if labeled == state.n or not isinstance(move, Move):
+    if labeled == state.n:
         return False
-    v = move.vertex
-    if v is None:
+    if move is PASS:
         return _may_pass(state, labeled)
-    return isinstance(v, int) and 0 <= v < state.n and not occupied >> v & 1
+    return type(move) is int and 0 <= move < state.n and not occupied >> move & 1
 
 
 def apply_move(state: GameState, move: Move) -> GameState:
@@ -183,8 +153,7 @@ def apply_move(state: GameState, move: Move) -> GameState:
     if labeled == n:
         raise IllegalMoveError("game is over")
     mover = _mover(state, labeled)
-    v = move.vertex
-    if v is None:
+    if move is PASS:
         if mover is not Player.ONE:
             raise IllegalMoveError("only the one player may pass")
         if passes >= variant.pass_budget:
@@ -192,11 +161,11 @@ def apply_move(state: GameState, move: Move) -> GameState:
         if n - labeled < 2:
             raise IllegalMoveError("passing requires at least two unlabeled vertices")
         return GameState(n, variant, zero, one, passes + 1)
-    if not (isinstance(v, int) and 0 <= v < n):
-        raise IllegalMoveError(f"vertex {v!r} is out of range")
-    if occupied >> v & 1:
-        raise IllegalMoveError(f"vertex {v} is already labeled")
-    bit = 1 << v
+    if not (type(move) is int and 0 <= move < n):
+        raise IllegalMoveError(f"vertex {move!r} is out of range")
+    if occupied >> move & 1:
+        raise IllegalMoveError(f"vertex {move} is already labeled")
+    bit = 1 << move
     if mover is Player.ZERO:
         return GameState(n, variant, zero | bit, one, passes)
     return GameState(n, variant, zero, one | bit, passes)

@@ -8,15 +8,19 @@ vertex count is a single byte n+63 for n <= 62, or '~' followed by three
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, from_edges
+import re
+
+from .graphs import MAX_VERTICES, Graph, GraphError, from_edges
 
 _HEADER = ">>graph6<<"
 _OFFSET = 63
+_INVALID = re.compile("[^?-~]")  # any character outside 63..126
+_DECODE = bytes((code - _OFFSET) & 0xFF for code in range(256))  # code -> code - 63
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 input; ``reason`` is the message without the byte
-    position, ``offset`` the failing byte position."""
+    """Malformed or oversized graph6 input; ``reason`` is the message without
+    the byte position, ``offset`` the failing byte position, if any."""
 
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message if offset is None else f"{message} (byte {offset})")
@@ -50,17 +54,17 @@ def emit_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
+    """One graph6 line; a vertex count above ``MAX_VERTICES`` is refused
+    before the bit vector is decoded."""
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
     if not s:
         raise Graph6Error("empty graph6 line", 0)
-    data = []
-    for i, ch in enumerate(s):
-        code = ord(ch)
-        if not _OFFSET <= code <= 126:
-            raise Graph6Error(f"invalid graph6 character {ch!r}", i)
-        data.append(code - _OFFSET)
+    bad = _INVALID.search(s)
+    if bad:
+        raise Graph6Error(f"invalid graph6 character {bad.group()!r}", bad.start())
+    data = s.encode("ascii").translate(_DECODE)
     pos = 0
     if data[0] == 63:  # '~' prefix for the long vertex-count forms
         if len(data) >= 2 and data[1] == 63:
@@ -72,6 +76,8 @@ def parse_graph6(text: str) -> Graph:
     else:
         n = data[0]
         pos = 1
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"graph has {n} vertices, above the limit of {MAX_VERTICES}")
     need_bits = n * (n - 1) // 2
     need_bytes = (need_bits + 5) // 6
     if len(data) - pos < need_bytes:

@@ -12,8 +12,8 @@ The recursion runs on plain ints: the two label masks, the passes spent,
 the labelled count and the running count of cut edges, which each label
 move raises by the new vertex's neighbours holding the other label.  A
 terminal scores ``2 * cut - |E|`` (taken absolutely under cordiality).  The
-adversary's replies come from walking the free mask, with the shared
-``Move.label`` instances, under ``game``'s turn and pass rules.  A
+adversary's replies come from walking the free mask, each reply the vertex
+itself, under ``game``'s turn and pass rules.  A
 ``GameState`` is built only for the strategy's ``choose``, the ``is_legal``
 check on its move (an illegal one raises ``StrategyMoveError``) and the
 terminal check.
@@ -52,7 +52,8 @@ class StrategyMoveError(RuntimeError):
     """A strategy returned an illegal move; carries the offending position."""
 
     def __init__(self, state: GameState, move: Move, reason: str):
-        super().__init__(f"illegal strategy move {move} at {state}: {reason}")
+        shown = "pass" if move is PASS else repr(move)
+        super().__init__(f"illegal strategy move {shown} at {state}: {reason}")
         self.state = state
         self.move = move
 
@@ -91,7 +92,6 @@ class Sweep:
         # only the one player may pass, so only a zero-player strategy's
         # adversary holds the variant's passes
         self._adversary_passes = variant.pass_budget if role is Player.ZERO else 0
-        self._labels = tuple(Move.label(v) for v in range(g.n))
         self._memo: dict[tuple, int] = {}
         self._strategy = strategy
         self.worst = self._value(0, 0, 0, 0, 0, strategy, None)
@@ -102,7 +102,7 @@ class Sweep:
         return len(self._memo)
 
     def _value(self, zero: int, one: int, passes: int, labeled: int, cross: int,
-               strat: Strategy, last_move: Move | None) -> int:
+               strat: Strategy, last_move: Move) -> int:
         """The memoized value of the position ``(zero, one, passes)``, with
         ``labeled`` vertices labelled and ``cross`` edges cut, and ``strat``
         to play on."""
@@ -123,16 +123,15 @@ class Sweep:
             if not is_legal(state, move):
                 raise StrategyMoveError(state, move, "not among the legal moves")
             strat = strat.after(move, self._role)
-            v = move.vertex
-            if v is None:
+            if move is PASS:
                 passes += 1
             elif self._role_labels_zero:
-                cross += (adj[v] & one).bit_count()
-                zero |= 1 << v
+                cross += (adj[move] & one).bit_count()
+                zero |= 1 << move
                 labeled += 1
             else:
-                cross += (adj[v] & zero).bit_count()
-                one |= 1 << v
+                cross += (adj[move] & zero).bit_count()
+                one |= 1 << move
                 labeled += 1
             last_move = move
         memo = self._memo
@@ -143,7 +142,6 @@ class Sweep:
         adversary = self._role.opponent
         maximizing = self._maximizing
         value = self._value
-        labels = self._labels
         free = ((1 << n) - 1) & ~(zero | one)
         adversary_labels_zero = not self._role_labels_zero
         best: int | None = None
@@ -151,15 +149,14 @@ class Sweep:
             bit = free & -free
             free ^= bit
             v = bit.bit_length() - 1
-            move = labels[v]
             if adversary_labels_zero:
                 score = value(zero | bit, one, passes, labeled + 1,
                               cross + (adj[v] & one).bit_count(),
-                              strat.after(move, adversary), move)
+                              strat.after(v, adversary), v)
             else:
                 score = value(zero, one | bit, passes, labeled + 1,
                               cross + (adj[v] & zero).bit_count(),
-                              strat.after(move, adversary), move)
+                              strat.after(v, adversary), v)
             if best is None or (score > best if maximizing else score < best):
                 best = score
         # the pass rule: budget left and at least two free vertices
@@ -171,7 +168,7 @@ class Sweep:
         memo[key] = best
         return best
 
-    def _value_at(self, state: GameState, strat: Strategy, last_move: Move | None) -> int:
+    def _value_at(self, state: GameState, strat: Strategy, last_move: Move) -> int:
         """``_value`` of a ``GameState``."""
         zero, one = state.zero_mask, state.one_mask
         adj = self._adj
@@ -190,7 +187,7 @@ class Sweep:
         state = self._start
         strat = self._strategy
         line: list[Move] = []
-        last: Move | None = None
+        last: Move = None
         while not is_terminal(state):
             mover = to_move(state)
             if mover is strat.role:

@@ -14,12 +14,15 @@ by the observed local position plus the opponent's last move, so a
 strategy remembers little: it stays immutable and cheap to advance, and
 playout memoization merges across interleavings.
 
-The three four-position scripts (the 4-path, two 2-arms and a leaf beside a
-3-arm) are one ``PairScript``: take one label in each of two position
-pairs.  The two six-position scripts (the 6-path and two 3-arms under a
-center) share one book in ``_FirstMoveMemory`` (the opening, the answers to
-an opening, the arm-pair play after an opening on the middle of an arm, and
-the fallback) and differ only in their follow-up moves.
+Five scripts are pairings, one ``PairScript`` each: take one label in each
+of a few position sets, following the opponent into the set they just
+played.  They play the parts of one or two vertices (two leaves under one
+center and the balance pairs included), the 3-path, the 4-path, two 2-arms,
+and a leaf beside a 3-arm.  The 5-path keeps its own script.  The two
+six-position scripts (the 6-path and two 3-arms under a center) share one
+book in ``_FirstMoveMemory`` (the opening, the answers to an opening, the
+arm-pair play after an opening on the middle of an arm, and the fallback)
+and differ only in their follow-up moves.
 
 The one-player balance strategy is the same split, with the path's vertex
 pairs (n-2, n-1), (n-4, n-3), ... (and vertex 0 alone when n is odd) as
@@ -31,7 +34,7 @@ it at the far end.
 from __future__ import annotations
 
 from .branching import BranchDecomposition, find_branch_in
-from .game import GameState, Move, Player
+from .game import PASS, GameState, Move, Player
 from .graphs import Graph, GraphError, iter_bits, path_walk, vertex_mask
 from .trees import NonTreeError
 
@@ -46,7 +49,10 @@ class Strategy:
     role: Player = Player.ZERO
     provenance: str = "abstract"
 
-    def choose(self, state: GameState, last_move: Move | None) -> Move:
+    def choose(self, state: GameState, last_move: Move) -> Move:
+        """The move at ``state``; ``last_move`` is the move just played,
+        or None when nothing has been played yet or the opponent passed
+        (``state.passes_used`` tells the two apart)."""
         raise NotImplementedError
 
     def after(self, move: Move, mover: Player) -> "Strategy":
@@ -83,7 +89,7 @@ class _ScriptBase(Strategy):
         self._pos = {v: i + 1 for i, v in enumerate(self.verts)}
         self._bits = tuple((i + 1, 1 << v) for i, v in enumerate(self.verts))
 
-    def _view(self, state: GameState, last_move: Move | None):
+    def _view(self, state: GameState, last_move: Move):
         zero, one = state.zero_mask, state.one_mask
         own, opp, free = set(), set(), set()
         for p, bit in self._bits:
@@ -93,48 +99,19 @@ class _ScriptBase(Strategy):
                 opp.add(p)
             else:
                 free.add(p)
-        prompted = None
-        if last_move is not None and not last_move.is_pass:
-            prompted = self._pos.get(last_move.vertex)
-            if prompted in own:
-                prompted = None  # our own previous move, not a prompt
+        prompted = self._pos.get(last_move)
+        if prompted in own:
+            prompted = None  # our own previous move, not a prompt
         return own, opp, free, prompted
 
-    def choose(self, state: GameState, last_move: Move | None) -> Move:
+    def choose(self, state: GameState, last_move: Move) -> Move:
         own, opp, free, prompted = self._view(state, last_move)
         if not free:
             raise StrategyError(f"{self.provenance}: asked to move with no free vertex")
-        return Move.label(self.verts[self._decide(own, opp, free, prompted) - 1])
+        return self.verts[self._decide(own, opp, free, prompted) - 1]
 
     def _decide(self, own: set, opp: set, free: set, prompted: int | None) -> int:
         raise NotImplementedError
-
-
-class TinyScript(_ScriptBase):
-    """Take the lowest free position.
-
-    Any move is optimal on a 1 or 2 vertex path component.  On two leaves
-    under one center (branch case 2), taking the sibling of whatever the
-    opponent takes means taking the lone free vertex.  A balance pair lists
-    its far end first, so this takes the highest free vertex there.
-    """
-
-    provenance = "exact-tiny"
-
-    def _decide(self, own, opp, free, prompted):
-        return min(free)
-
-
-class Path3Script(_ScriptBase):
-    """Path a-b-c: take the middle when opening, avoid it when answering."""
-
-    provenance = "path-script-3"
-
-    def _decide(self, own, opp, free, prompted):
-        if prompted is None:
-            return 2 if 2 in free else min(free)
-        safe = free - {2}
-        return min(safe) if safe else min(free)
 
 
 class Path5Script(_ScriptBase):
@@ -189,9 +166,9 @@ def _one_per_pair(own: set, free: set, prompted: int | None, pairs: tuple) -> in
 
 
 class PairScript(_ScriptBase):
-    """Four positions in two pairs: take one label in each pair, following
-    the opponent into the pair they just played.  ``_PAIRINGS`` names the
-    three pairings by provenance."""
+    """Take one label in each set of a pairing, following the opponent into
+    the set they just played, then the lowest free position.  ``_PAIRINGS``
+    names the pairings by provenance."""
 
     def __init__(self, verts, provenance: str):
         super().__init__(verts)
@@ -204,6 +181,13 @@ class PairScript(_ScriptBase):
 
 
 _PAIRINGS = {
+    # any move is optimal on a 1 or 2 vertex path component; on two leaves
+    # under one center (branch case 2) it takes the sibling of the
+    # opponent's leaf; a balance pair lists its far end first, so it takes
+    # the highest free vertex there
+    "exact-tiny": (frozenset({1, 2}),),
+    # the 3-path a-b-c: take the middle when opening, avoid it when answering
+    "path-script-3": (frozenset({2}), frozenset({1, 3})),
     # a label in each alternating class holds the 4-path's discrepancy to 1
     "path-script-4": (frozenset({1, 3}), frozenset({2, 4})),
     # two 2-arms (1,2) and (3,4), with 2 and 3 beside the center v: one of
@@ -238,9 +222,9 @@ class _FirstMoveMemory(_ScriptBase):
         self.first: int | None = None
 
     def after(self, move, mover):
-        if self.first is not None or move.is_pass or move.vertex not in self._pos:
+        if self.first is not None or move not in self._pos:
             return self
-        return self._copy(first=0 if mover is self.role else self._pos[move.vertex])
+        return self._copy(first=0 if mover is self.role else self._pos[move])
 
     def state_key(self):
         return self.first
@@ -363,28 +347,27 @@ class SplitStrategy(Strategy):
         return self._key
 
     def after(self, move, mover):
-        v = move.vertex
-        if v is None or not self._stateful >> v & 1:
+        if move is PASS or not self._stateful >> move & 1:
             return self
-        k = self._part_of[v]
+        k = self._part_of[move]
         part = self.parts[k].after(move, mover)
         if part is self.parts[k]:
             return self
         return self._copy(parts=self.parts[:k] + (part,) + self.parts[k + 1:],
                           _key=self._key[:k] + (part.state_key(),) + self._key[k + 1:])
 
-    def choose(self, state: GameState, last_move: Move | None) -> Move:
+    def choose(self, state: GameState, last_move: Move) -> Move:
         occupied = state.zero_mask | state.one_mask
         if last_move is None:
+            if state.passes_used:
+                raise StrategyError(f"{self.provenance}: built for pass-free variants")
             if occupied:
                 raise StrategyError(f"{self.provenance}: unprompted move mid-game")
             if self.role is not Player.ZERO:
                 raise StrategyError(f"{self.provenance}: expects the opponent to start")
             return self.parts[0].choose(state, None)
-        if last_move.is_pass:
-            raise StrategyError(f"{self.provenance}: built for pass-free variants")
         free = ~occupied
-        k = self._part_of[last_move.vertex]
+        k = self._part_of[last_move]
         if self._masks[k] & free:
             return self._part_move(k, state, last_move)
         for j, mask in enumerate(self._masks):
@@ -399,7 +382,7 @@ class SplitStrategy(Strategy):
 
     def _part_move(self, k: int, state: GameState, last_move: Move) -> Move:
         mask = self._masks[k]
-        key = (k, state.zero_mask & mask, state.one_mask & mask, last_move.vertex, self._key[k])
+        key = (k, state.zero_mask & mask, state.one_mask & mask, last_move, self._key[k])
         move = self._moves.get(key)
         if move is None:
             move = self._moves[key] = self.parts[k].choose(state, last_move)
@@ -407,9 +390,9 @@ class SplitStrategy(Strategy):
 
 
 _PATH_SCRIPTS = {
-    1: TinyScript,
-    2: TinyScript,
-    3: Path3Script,
+    1: lambda verts: PairScript(verts, "exact-tiny"),
+    2: lambda verts: PairScript(verts, "exact-tiny"),
+    3: lambda verts: PairScript(verts, "path-script-3"),
     4: lambda verts: PairScript(verts, "path-script-4"),
     5: Path5Script,
     6: Path6Script,
@@ -453,7 +436,7 @@ def _induced_path_order(g: Graph, mask: int) -> tuple[int, ...] | None:
 
 _CASE_SCRIPTS = {
     1: lambda r: PairScript((r["v1"], r["v2"], r["v3"], r["v4"]), "path-script-4"),
-    2: lambda r: TinyScript((r["v1"], r["v2"])),
+    2: lambda r: PairScript((r["v1"], r["v2"]), "exact-tiny"),
     3: lambda r: PairScript((r["v1"], r["v2"], r["v3"], r["v4"]), "twin-2-arms"),
     4: lambda r: PairScript((r["v4"], r["v1"], r["v2"], r["v3"]), "path-script-4"),
     5: lambda r: PairScript((r["v1"], r["v2"], r["v3"], r["v4"]), "leaf-and-3-arm"),
@@ -493,8 +476,8 @@ def balance_maximizer_strategy(n: int) -> Strategy:
     """
     if n < 2:
         raise GraphError("balance strategy needs at least 2 vertices")
-    parts = [TinyScript((0,))] if n % 2 else []
-    parts += [TinyScript((v + 1, v)) for v in range(n % 2, n, 2)]
+    parts = [PairScript((0,), "exact-tiny")] if n % 2 else []
+    parts += [PairScript((v + 1, v), "exact-tiny") for v in range(n % 2, n, 2)]
     return SplitStrategy(parts, "balance-pair-split", role=Player.ONE)
 
 

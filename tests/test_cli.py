@@ -409,10 +409,13 @@ def test_graphs_above_the_vertex_limit_are_input_errors(tmp_path, capsys):
     # each is refused before its neighbour masks are built, so at once
     path = tmp_path / "far.txt"
     path.write_text("0 1000000000\n")
+    g6 = tmp_path / "far.g6"
+    g6.write_text("~A[P\n")  # the vertex count 10001 alone
     for argv in (["solve", "--graph", "path:1000000000"],
                  ["solve", "--graph", "star:1000000000"],
                  ["solve", "--graph", "spider:1000000000"],
                  ["solve", "--edge-list", "--file", str(path)],
+                 ["solve", "--file", str(g6)],
                  ["solve", "--graph", "path:10001", "--force"]):
         start = time.perf_counter()
         code, text = run_cli(argv)

@@ -4,7 +4,6 @@ import pytest
 
 from cordiality import (
     IllegalMoveError,
-    Move,
     Objective,
     PASS,
     Player,
@@ -40,8 +39,8 @@ def test_turn_alternation_and_pass_turn():
     state = apply_move(state, PASS)
     assert to_move(state) is Player.ZERO
     state = new_game(path_graph(4), ZERO_STARTS)
-    state = apply_move(state, Move.label(0))
-    state = apply_move(state, Move.label(1))
+    state = apply_move(state, 0)
+    state = apply_move(state, 1)
     assert to_move(state) is Player.ZERO
 
 
@@ -49,14 +48,14 @@ def test_legal_moves():
     assert len(legal_moves(new_game(path_graph(3), ZERO_STARTS))) == 3
     fresh = new_game(path_graph(6), ONE_STARTS_WITH_PASS)
     assert len(legal_moves(fresh)) == 7  # six labels plus the pass
-    full = replay(path_graph(2), ZERO_STARTS, [Move.label(0), Move.label(1)])
+    full = replay(path_graph(2), ZERO_STARTS, [0, 1])
     assert legal_moves(full) == []
 
 
 def test_pass_needs_two_unlabeled():
     # one-starts-with-pass on a 3-path: after two labels only one vertex
     # remains, so the maximizer's pass is no longer available
-    state = replay(path_graph(3), ONE_STARTS_WITH_PASS, [Move.label(1), Move.label(0)])
+    state = replay(path_graph(3), ONE_STARTS_WITH_PASS, [1, 0])
     assert to_move(state) is Player.ONE
     assert PASS not in legal_moves(state)
     with pytest.raises(IllegalMoveError):
@@ -65,27 +64,23 @@ def test_pass_needs_two_unlabeled():
 
 def test_apply_move_validation():
     state = new_game(path_graph(3), ZERO_STARTS)
-    state = apply_move(state, Move.label(1))
+    state = apply_move(state, 1)
     assert state.zero_mask == vertex_mask({1})
     with pytest.raises(IllegalMoveError):
-        apply_move(state, Move.label(1))
+        apply_move(state, 1)
     with pytest.raises(IllegalMoveError):
         apply_move(state, PASS)  # zero player may not pass
     with pytest.raises(IllegalMoveError):
-        apply_move(state, Move.label(7))
+        apply_move(state, 7)
 
 
-def test_label_moves_are_shared_and_states_frozen():
-    assert Move.label(5) is Move.label(5)
-    moves = legal_moves(new_game(path_graph(6), ZERO_STARTS))
-    assert all(move is Move.label(move.vertex) for move in moves)
-    # past the shared range, and out of range, label moves are built fresh
-    wide = legal_moves(new_game(path_graph(70), ZERO_STARTS))
-    assert [move.vertex for move in wide] == list(range(70))
+def test_moves_are_vertices_and_states_frozen():
+    assert legal_moves(new_game(path_graph(6), ZERO_STARTS)) == list(range(6))
+    assert legal_moves(new_game(path_graph(70), ZERO_STARTS)) == list(range(70))
+    assert legal_moves(new_game(path_graph(3), ONE_STARTS_WITH_PASS)) == [0, 1, 2, PASS]
     state = new_game(path_graph(3), ZERO_STARTS)
-    for v in (-1, 10**6):
-        move = Move.label(v)
-        assert move.vertex == v and not is_legal(state, move)
+    for move in (-1, 3, 10**6, 1.5, "x", "pass", True):
+        assert not is_legal(state, move)
         with pytest.raises(IllegalMoveError):
             apply_move(state, move)
     with pytest.raises(AttributeError):
@@ -96,18 +91,18 @@ def test_terminal_values():
     state = replay(
         path_graph(6),
         ZERO_STARTS,
-        [Move.label(v) for v in (0, 1, 2, 3, 4, 5)],
+        [0, 1, 2, 3, 4, 5],
     )
     assert state.zero_mask == vertex_mask({0, 2, 4})
     assert terminal_value(state, path_graph(6), Objective.CORDIALITY) == 5
-    state = replay(path_graph(2), ZERO_STARTS, [Move.label(0), Move.label(1)])
+    state = replay(path_graph(2), ZERO_STARTS, [0, 1])
     assert terminal_value(state, path_graph(2), Objective.CORDIALITY) == 1
     assert terminal_value(state, path_graph(2), Objective.BALANCE) == 1
     # zero player holding one end of the path: signed value goes negative
     state = replay(
         path_graph(6),
         ZERO_STARTS,
-        [Move.label(v) for v in (3, 0, 4, 1, 5, 2)],
+        [3, 0, 4, 1, 5, 2],
     )
     assert state.zero_mask == vertex_mask({3, 4, 5})
     assert terminal_value(state, path_graph(6), Objective.BALANCE) == -3
@@ -142,7 +137,7 @@ def test_is_legal_matches_legal_moves(variant):
     rng = random.Random(4321)
     for graph in (path_graph(5), path_graph(6), star_graph(7)):
         n = graph.n
-        candidates = [Move.label(v) for v in range(-1, n + 2)] + [PASS]
+        candidates = [*range(-1, n + 2), PASS, 1.5, "x", "pass"]
         for _ in range(100):
             state = new_game(graph, variant)
             while True:
@@ -153,9 +148,9 @@ def test_is_legal_matches_legal_moves(variant):
                 if is_terminal(state):
                     break
                 state = apply_move(state, rng.choice(moves))
-    # past the shared label moves: vertices from 64 up get fresh moves
-    state = replay(path_graph(70), variant, [Move.label(66), Move.label(3)])
+    # vertices past 63, beyond one machine word of mask
+    state = replay(path_graph(70), variant, [66, 3])
     moves = legal_moves(state)
     assert len(moves) == 68 + (variant.pass_budget == 1)
     assert all(is_legal(state, m) for m in moves)
-    assert not is_legal(state, Move.label(66))
+    assert not is_legal(state, 66)

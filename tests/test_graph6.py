@@ -71,6 +71,10 @@ def test_file_errors_name_the_line_and_the_byte_once():
     with pytest.raises(Graph6Error) as err:
         parse_graph6_file("E")
     assert str(err.value).count("(byte") == 1
+    # a valid line for 10001 vertices is refused before its bits are read
+    with pytest.raises(Graph6Error) as err:
+        parse_graph6_file("A_\n~A[P" + "?" * ((10001 * 10000 // 2 + 5) // 6))
+    assert str(err.value) == "line 2: graph has 10001 vertices, above the limit of 10000"
 
 
 def test_edge_list_parsing():

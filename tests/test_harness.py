@@ -5,7 +5,6 @@ import gc
 import pytest
 
 from cordiality import (
-    Move,
     Objective,
     PASS,
     Player,
@@ -163,15 +162,18 @@ class _Stub(Strategy):
 
 def _first_free_then_pass(state):
     if not state.zero_mask | state.one_mask:
-        return Move.label(0)
+        return 0
     return PASS
 
 
 ILLEGAL_STUBS = {
     # the second zero move reuses vertex 0
-    "occupied": (Player.ZERO, ZERO_STARTS, 3, lambda s: Move.label(0), Move.label(0)),
-    "out-of-range": (Player.ZERO, ZERO_STARTS, 3, lambda s: Move.label(3), Move.label(3)),
-    "negative": (Player.ZERO, ZERO_STARTS, 3, lambda s: Move.label(-1), Move.label(-1)),
+    "occupied": (Player.ZERO, ZERO_STARTS, 3, lambda s: 0, 0),
+    "out-of-range": (Player.ZERO, ZERO_STARTS, 3, lambda s: 3, 3),
+    "negative": (Player.ZERO, ZERO_STARTS, 3, lambda s: -1, -1),
+    # a move is a vertex int or PASS; anything else is no move at all
+    "not-a-vertex": (Player.ZERO, ZERO_STARTS, 3, lambda s: "x", "x"),
+    "not-an-int": (Player.ONE, ONE_STARTS, 3, lambda s: 1.5, 1.5),
     # the one player holds the pass in this variant, the zero player never does
     "zero-passes": (Player.ZERO, ONE_STARTS_WITH_PASS, 4, lambda s: PASS, PASS),
     # the first pass is legal, the second exceeds the budget of one
@@ -190,3 +192,5 @@ def test_illegal_strategy_move_raises(case):
     assert info.value.move == bad
     assert bad not in legal_moves(info.value.state)
     assert "not among the legal moves" in str(info.value)
+    shown = "pass" if bad is PASS else repr(bad)
+    assert str(info.value).startswith(f"illegal strategy move {shown} at ")

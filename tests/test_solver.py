@@ -6,7 +6,6 @@ import pytest
 import cordiality.solver
 from cordiality import (
     PASS,
-    Move,
     Objective,
     SolverCapError,
     ONE_STARTS,
@@ -102,7 +101,7 @@ def test_principal_line_replays_to_value():
 
 def test_principal_line_tiebreak_prefers_low_labels():
     line = solve(path_graph(3), ZERO_STARTS, Objective.CORDIALITY).principal_line
-    assert line[0] == Move.label(1)  # the middle vertex secures value 0
+    assert line[0] == 1  # the middle vertex secures value 0
 
 
 def test_hard_cap_refusal_and_env(monkeypatch):
@@ -257,7 +256,7 @@ def _reference_line(g, variant, objective):
     line = []
     while not is_terminal(state):
         # the tie-break order: ascending vertex, then the pass
-        for move in sorted(legal_moves(state), key=lambda m: (m.is_pass, m.vertex or 0)):
+        for move in sorted(legal_moves(state), key=lambda m: (m is PASS, m or 0)):
             child = apply_move(state, move)
             if reference(child.zero_mask, child.one_mask, child.passes_used) == value:
                 break

@@ -5,7 +5,6 @@ import pytest
 
 from cordiality import (
     CASE6_WINNING_SETS,
-    Move,
     Objective,
     Player,
     ONE_STARTS,
@@ -52,16 +51,21 @@ def test_small_scripts_meet_their_values():
 
 
 def test_script_openings_and_replies():
+    # the 3-path book: open on the middle, answer away from it
     p3 = path_strategy(3)
-    assert p3.choose(new_game(path_graph(3), ZERO_STARTS), None) == Move.label(1)
+    assert p3.provenance == "path-script-3"
+    assert p3.choose(new_game(path_graph(3), ZERO_STARTS), None) == 1
+    for opening, reply in ((0, 2), (1, 0), (2, 0)):
+        state = apply_move(new_game(path_graph(3), ONE_STARTS), opening)
+        assert p3.choose(state, opening) == reply, opening
 
     # 6-path, maximizer opens the second vertex: the reply is the fifth
     p6 = path_strategy(6)
     state = new_game(path_graph(6), ONE_STARTS)
-    opening = Move.label(1)
+    opening = 1
     p6 = p6.after(opening, to_move(state))
     state = apply_move(state, opening)
-    assert p6.choose(state, opening) == Move.label(4)
+    assert p6.choose(state, opening) == 4
 
 
 def test_path4_script_secures_one_label_per_class():
@@ -218,11 +222,11 @@ def test_case3_script_reply_mirrors_inner_and_outer():
     state = apply_move(state, move)
     # the opponent grabs the outer vertex of one arm; the reply is the
     # outer vertex of the other arm
-    outer = Move.label(d.roles["v1"])
+    outer = d.roles["v1"]
     strategy = strategy.after(outer, to_move(state))
     state = apply_move(state, outer)
     reply = strategy.choose(state, outer)
-    assert reply == Move.label(d.roles["v4"])
+    assert reply == d.roles["v4"]
 
 
 def test_case6_script_reply_to_second_position():
@@ -231,10 +235,10 @@ def test_case6_script_reply_to_second_position():
     script = Case6Script(tuple(range(6)))
     g = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     state = new_game(g, ONE_STARTS)
-    opening = Move.label(1)  # position 2
+    opening = 1  # position 2
     script = script.after(opening, to_move(state))
     state = apply_move(state, opening)
-    assert script.choose(state, opening) == Move.label(4)  # position 5
+    assert script.choose(state, opening) == 4  # position 5
 
 
 # -- the balance strategy -----------------------------------------------------
@@ -272,19 +276,29 @@ def test_split_opens_the_next_free_part_once_the_lower_ones_fill():
     # path_strategy(12) has the parts 0..5 and 6..11; the opponent's label
     # fills part 0, so the reply opens part 1 on its first vertex
     state = _position(12, {0, 2, 4}, {1, 3, 5})
-    assert path_strategy(12).choose(state, Move.label(5)) == Move.label(6)
+    assert path_strategy(12).choose(state, 5) == 6
     # balance_maximizer_strategy(6) has the pairs (0,1), (2,3), (4,5) and
     # opens a pair on its far end
     balance = balance_maximizer_strategy(6)
-    assert balance.choose(_position(6, {0, 1}, set()), Move.label(1)) == Move.label(3)
-    assert balance.choose(_position(6, {0, 2}, {1, 3}), Move.label(2)) == Move.label(5)
+    assert balance.choose(_position(6, {0, 1}, set()), 1) == 3
+    assert balance.choose(_position(6, {0, 2}, {1, 3}), 2) == 5
 
 
 def test_split_refuses_a_part_closed_above_an_open_one():
     with pytest.raises(StrategyError, match="pairing discipline"):
-        path_strategy(12).choose(_position(12, {6, 8, 10}, {7, 9, 11}), Move.label(11))
+        path_strategy(12).choose(_position(12, {6, 8, 10}, {7, 9, 11}), 11)
     with pytest.raises(StrategyError, match="pairing discipline"):
-        balance_maximizer_strategy(6).choose(_position(6, {4}, {5}), Move.label(4))
+        balance_maximizer_strategy(6).choose(_position(6, {4}, {5}), 4)
+
+
+def test_split_refuses_a_pass_and_an_unprompted_move():
+    # no last move is the opening, or else an opponent's pass or a call out of turn
+    strategy = path_strategy(12)
+    passed = GameState(12, ONE_STARTS_WITH_PASS, 0, 0, 1)
+    with pytest.raises(StrategyError, match="built for pass-free variants"):
+        strategy.choose(passed, None)
+    with pytest.raises(StrategyError, match="unprompted move mid-game"):
+        strategy.choose(_position(12, {0}, {1}), None)
 
 
 def test_cached_split_moves_equal_fresh_script_moves(monkeypatch):
@@ -391,8 +405,8 @@ def test_after_leaves_the_receiver_unchanged():
     strat = path_strategy(9)
     for v in range(3):
         for mover in Player:
-            assert strat.after(Move.label(v), mover) is strat
-    assert strat.after(Move.label(3), Player.ONE) is not strat
+            assert strat.after(v, mover) is strat
+    assert strat.after(3, Player.ONE) is not strat
 
 
 def test_builders_validate_inputs():
