@@ -13,10 +13,12 @@ the labelled count and the running count of cut edges, which each label
 move raises by the new vertex's neighbours holding the other label.  A
 terminal scores ``2 * cut - |E|`` (taken absolutely under cordiality).  The
 adversary's replies come from walking the free mask, each reply the vertex
-itself, under ``game``'s turn and pass rules.  A
-``GameState`` is built only for the strategy's ``choose``, the ``is_legal``
-check on its move (an illegal one raises ``StrategyMoveError``) and the
-terminal check.
+itself, under ``game``'s turn and pass rules.  The strategy's ``choose``
+reads the same ints.  Its move is legal at once when it is a vertex int on
+a free vertex; anything else (a pass, or no move at all) is checked by
+``game.is_legal`` on a built ``GameState``, and an illegal move raises
+``StrategyMoveError``.  Otherwise a ``GameState`` is built only for the
+terminal check and for ``Sweep.line``.
 
 An optional terminal check is a predicate on every reachable final
 position, so per-playout structural claims are verified in the same sweep.
@@ -84,7 +86,8 @@ class Sweep:
         self._terminal_check = terminal_check
         role = self._role = strategy.role
         self._role_labels_zero = role is Player.ZERO
-        self._maximizing = role.opponent is Player.ONE
+        self._adversary = role.opponent
+        self._maximizing = self._adversary is Player.ONE
         self._failed = g.edge_count + 1 if self._maximizing else -g.edge_count - 1
         self._start = new_game(g, variant)
         # the strategy moves when labelled + passes has this parity
@@ -118,10 +121,13 @@ class Sweep:
                 return abs(d) if self._absolute else d
             if (labeled + passes) & 1 != self._role_parity:
                 break
-            state = GameState(n, self._variant, zero, one, passes)
-            move = strat.choose(state, last_move)
-            if not is_legal(state, move):
-                raise StrategyMoveError(state, move, "not among the legal moves")
+            move = strat.choose(zero, one, passes, last_move)
+            # a vertex int on a free vertex is legal by ``game``'s rule;
+            # anything else, a pass included, is left to ``is_legal``
+            if not (type(move) is int and 0 <= move < n and not (zero | one) >> move & 1):
+                state = GameState(n, self._variant, zero, one, passes)
+                if not is_legal(state, move):
+                    raise StrategyMoveError(state, move, "not among the legal moves")
             strat = strat.after(move, self._role)
             if move is PASS:
                 passes += 1
@@ -139,7 +145,7 @@ class Sweep:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        adversary = self._role.opponent
+        adversary = self._adversary
         maximizing = self._maximizing
         value = self._value
         free = ((1 << n) - 1) & ~(zero | one)
@@ -191,7 +197,7 @@ class Sweep:
         while not is_terminal(state):
             mover = to_move(state)
             if mover is strat.role:
-                move = strat.choose(state, last)
+                move = strat.choose(state.zero_mask, state.one_mask, state.passes_used, last)
                 child = apply_move(state, move)
             else:
                 target = value(state, strat, last)

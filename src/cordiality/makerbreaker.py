@@ -37,7 +37,7 @@ class SetFamily:
 
 
 def _scored_parts(g: Graph, objective: Objective) -> list[tuple[int, int]]:
-    """(discrepancy, mask) for every balanced-bipartition part, in export order."""
+    """(discrepancy, mask) for every balanced-bipartition part, in mask order."""
     n = g.n
     e = g.edge_count
     lo_size = n // 2
@@ -49,7 +49,6 @@ def _scored_parts(g: Graph, objective: Objective) -> list[tuple[int, int]]:
             continue
         signed = 2 * cut_size_of_mask(g, mask) - e
         scored.append((abs(signed) if objective is Objective.CORDIALITY else signed, mask))
-    scored.sort(key=lambda part: tuple(iter_bits(part[1])))
     return scored
 
 
@@ -57,8 +56,9 @@ def winning_family(g: Graph, k: int, objective: Objective) -> SetFamily:
     """All balanced-bipartition parts with discrepancy at most k."""
     if g.n > FAMILY_MAX_N:
         raise SolverCapError(f"family enumeration is capped at n = {FAMILY_MAX_N}")
-    members = tuple(mask for d, mask in _scored_parts(g, objective) if d <= k)
-    return SetFamily(ground=g.n, members=members)
+    members = sorted((mask for d, mask in _scored_parts(g, objective) if d <= k),
+                     key=lambda mask: tuple(iter_bits(mask)))
+    return SetFamily(ground=g.n, members=tuple(members))
 
 
 def _maker_wins(g: Graph, members: frozenset[int], variant: Variant) -> bool:
@@ -102,7 +102,9 @@ def _maker_wins(g: Graph, members: frozenset[int], variant: Variant) -> bool:
         memo[key] = result
         return result
 
-    return wins(0, 0, 0)
+    result = wins(0, 0, 0)
+    del wins  # the closure refers to itself: free its memo now, not at a collection
+    return result
 
 
 def maker_breaker_value(g: Graph, variant: Variant, objective: Objective) -> int:

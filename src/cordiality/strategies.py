@@ -34,7 +34,7 @@ it at the far end.
 from __future__ import annotations
 
 from .branching import BranchDecomposition, find_branch_in
-from .game import PASS, GameState, Move, Player
+from .game import PASS, Move, Player
 from .graphs import Graph, GraphError, iter_bits, path_walk, vertex_mask
 from .trees import NonTreeError
 
@@ -49,10 +49,11 @@ class Strategy:
     role: Player = Player.ZERO
     provenance: str = "abstract"
 
-    def choose(self, state: GameState, last_move: Move) -> Move:
-        """The move at ``state``; ``last_move`` is the move just played,
-        or None when nothing has been played yet or the opponent passed
-        (``state.passes_used`` tells the two apart)."""
+    def choose(self, zero: int, one: int, passes: int, last_move: Move) -> Move:
+        """The move at the position with 0-labelled vertex mask ``zero``,
+        1-labelled mask ``one`` and ``passes`` passes spent; ``last_move``
+        is the move just played, or None when nothing has been played yet
+        or the opponent passed (``passes`` tells the two apart)."""
         raise NotImplementedError
 
     def after(self, move: Move, mover: Player) -> "Strategy":
@@ -89,8 +90,7 @@ class _ScriptBase(Strategy):
         self._pos = {v: i + 1 for i, v in enumerate(self.verts)}
         self._bits = tuple((i + 1, 1 << v) for i, v in enumerate(self.verts))
 
-    def _view(self, state: GameState, last_move: Move):
-        zero, one = state.zero_mask, state.one_mask
+    def _view(self, zero: int, one: int, last_move: Move):
         own, opp, free = set(), set(), set()
         for p, bit in self._bits:
             if zero & bit:
@@ -104,8 +104,8 @@ class _ScriptBase(Strategy):
             prompted = None  # our own previous move, not a prompt
         return own, opp, free, prompted
 
-    def choose(self, state: GameState, last_move: Move) -> Move:
-        own, opp, free, prompted = self._view(state, last_move)
+    def choose(self, zero, one, passes, last_move):
+        own, opp, free, prompted = self._view(zero, one, last_move)
         if not free:
             raise StrategyError(f"{self.provenance}: asked to move with no free vertex")
         return self.verts[self._decide(own, opp, free, prompted) - 1]
@@ -356,20 +356,20 @@ class SplitStrategy(Strategy):
         return self._copy(parts=self.parts[:k] + (part,) + self.parts[k + 1:],
                           _key=self._key[:k] + (part.state_key(),) + self._key[k + 1:])
 
-    def choose(self, state: GameState, last_move: Move) -> Move:
-        occupied = state.zero_mask | state.one_mask
+    def choose(self, zero, one, passes, last_move):
+        occupied = zero | one
         if last_move is None:
-            if state.passes_used:
+            if passes:
                 raise StrategyError(f"{self.provenance}: built for pass-free variants")
             if occupied:
                 raise StrategyError(f"{self.provenance}: unprompted move mid-game")
             if self.role is not Player.ZERO:
                 raise StrategyError(f"{self.provenance}: expects the opponent to start")
-            return self.parts[0].choose(state, None)
+            return self.parts[0].choose(zero, one, passes, None)
         free = ~occupied
         k = self._part_of[last_move]
         if self._masks[k] & free:
-            return self._part_move(k, state, last_move)
+            return self._part_move(k, zero, one, passes, last_move)
         for j, mask in enumerate(self._masks):
             if mask & free:
                 if j < k:
@@ -377,15 +377,15 @@ class SplitStrategy(Strategy):
                         f"{self.provenance}: part {j} left open below the closed part {k}; "
                         "the pairing discipline was broken"
                     )
-                return self._part_move(j, state, last_move)
+                return self._part_move(j, zero, one, passes, last_move)
         raise StrategyError(f"{self.provenance}: no free vertex to play")
 
-    def _part_move(self, k: int, state: GameState, last_move: Move) -> Move:
+    def _part_move(self, k: int, zero: int, one: int, passes: int, last_move: Move) -> Move:
         mask = self._masks[k]
-        key = (k, state.zero_mask & mask, state.one_mask & mask, last_move, self._key[k])
+        key = (k, zero & mask, one & mask, last_move, self._key[k])
         move = self._moves.get(key)
         if move is None:
-            move = self._moves[key] = self.parts[k].choose(state, last_move)
+            move = self._moves[key] = self.parts[k].choose(zero, one, passes, last_move)
         return move
 
 

@@ -1,10 +1,12 @@
 """The strategy harness against a memo-free reference, and its legality check."""
 
 import gc
+import io
 
 import pytest
 
 from cordiality import (
+    GameState,
     Objective,
     PASS,
     Player,
@@ -25,6 +27,8 @@ from cordiality import (
     to_move,
     tree_strategy,
 )
+from cordiality import harness
+from cordiality.cli import main
 from cordiality.strategies import Strategy
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
@@ -54,7 +58,7 @@ def reference_worst(g, strategy, variant, objective, terminal_check=None):
             return terminal_value(state, g, objective)
         mover = to_move(state)
         if mover is strat.role:
-            move = strat.choose(state, last)
+            move = strat.choose(state.zero_mask, state.one_mask, state.passes_used, last)
             assert move in legal_moves(state)
             return value(apply_move(state, move), strat.after(move, mover), move)
         key = (state.zero_mask, state.one_mask, state.passes_used, strat.state_key())
@@ -148,7 +152,8 @@ def test_finished_sweep_is_freed_without_the_cyclic_collector():
 
 
 class _Stub(Strategy):
-    """Plays ``pick(state)`` whatever the position."""
+    """Plays ``pick(occupied)`` whatever the position, given the mask of
+    labelled vertices."""
 
     provenance = "stub"
 
@@ -156,14 +161,17 @@ class _Stub(Strategy):
         self.role = role
         self.pick = pick
 
-    def choose(self, state, last_move):
-        return self.pick(state)
+    def choose(self, zero, one, passes, last_move):
+        return self.pick(zero | one)
 
 
-def _first_free_then_pass(state):
-    if not state.zero_mask | state.one_mask:
-        return 0
-    return PASS
+def _first_free_then_pass(occupied):
+    return PASS if occupied else 0
+
+
+def _true_then_lowest_free(occupied):
+    # a fast path that took True for vertex 1 would finish the game unrefused
+    return (~occupied & occupied + 1).bit_length() - 1 if occupied else True
 
 
 ILLEGAL_STUBS = {
@@ -174,6 +182,8 @@ ILLEGAL_STUBS = {
     # a move is a vertex int or PASS; anything else is no move at all
     "not-a-vertex": (Player.ZERO, ZERO_STARTS, 3, lambda s: "x", "x"),
     "not-an-int": (Player.ONE, ONE_STARTS, 3, lambda s: 1.5, 1.5),
+    # a bool is an int subclass, and True shifts like vertex 1
+    "a-bool": (Player.ZERO, ZERO_STARTS, 3, _true_then_lowest_free, True),
     # the one player holds the pass in this variant, the zero player never does
     "zero-passes": (Player.ZERO, ONE_STARTS_WITH_PASS, 4, lambda s: PASS, PASS),
     # the first pass is legal, the second exceeds the budget of one
@@ -190,7 +200,33 @@ def test_illegal_strategy_move_raises(case):
     with pytest.raises(StrategyMoveError) as info:
         Sweep(path_graph(n), _Stub(role, pick), variant, objective)
     assert info.value.move == bad
-    assert bad not in legal_moves(info.value.state)
+    # compared with its type too, since True == 1
+    assert (type(bad), bad) not in [(type(m), m) for m in legal_moves(info.value.state)]
     assert "not among the legal moves" in str(info.value)
     shown = "pass" if bad is PASS else repr(bad)
     assert str(info.value).startswith(f"illegal strategy move {shown} at ")
+
+
+def test_strategy_moves_build_no_game_state(monkeypatch):
+    # the sweep hands a strategy its masks and checks a vertex move on them;
+    # a GameState is built only for the terminal check
+    built = checked = 0
+
+    def counted(*fields):
+        nonlocal built
+        built += 1
+        return GameState(*fields)
+
+    monkeypatch.setattr(harness, "GameState", counted)
+    assert main(["verify", "tree-bound", "--max-n", "8"], out=io.StringIO()) == 0
+    assert built == 0
+
+    def edge_45_cut(state):
+        nonlocal checked
+        checked += 1
+        return bool((state.zero_mask >> 4 ^ state.zero_mask >> 5) & 1)
+
+    sweep = Sweep(path_graph(6), balance_maximizer_strategy(6), ZERO_STARTS, Objective.BALANCE,
+                  edge_45_cut)
+    assert sweep.worst >= 0
+    assert built == checked > 0

@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations
 
 import pytest
@@ -100,3 +101,15 @@ def test_caps():
         maker_breaker_value(path_graph(15), ZERO_STARTS, Objective.CORDIALITY)
     with pytest.raises(ValueError):
         winning_family(path_graph(21), 1, Objective.CORDIALITY)
+
+
+def test_solved_game_is_freed_without_the_cyclic_collector():
+    # the recursive closure holds no reference cycle once the value is
+    # returned, so its memo is freed at once
+    gc.collect()
+    gc.disable()
+    try:
+        assert maker_breaker_value(path_graph(8), ZERO_STARTS, Objective.CORDIALITY) == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

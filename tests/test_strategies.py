@@ -30,7 +30,6 @@ from cordiality import (
     tree_strategy,
 )
 from cordiality.branching import arm_components
-from cordiality.game import GameState
 from cordiality.graphs import vertex_mask
 from cordiality.strategies import Case6Script, Path6Script, SplitStrategy, StrategyError
 from cordiality.trees import NonTreeError
@@ -54,10 +53,10 @@ def test_script_openings_and_replies():
     # the 3-path book: open on the middle, answer away from it
     p3 = path_strategy(3)
     assert p3.provenance == "path-script-3"
-    assert p3.choose(new_game(path_graph(3), ZERO_STARTS), None) == 1
+    assert p3.choose(0, 0, 0, None) == 1
     for opening, reply in ((0, 2), (1, 0), (2, 0)):
         state = apply_move(new_game(path_graph(3), ONE_STARTS), opening)
-        assert p3.choose(state, opening) == reply, opening
+        assert p3.choose(state.zero_mask, state.one_mask, 0, opening) == reply, opening
 
     # 6-path, maximizer opens the second vertex: the reply is the fifth
     p6 = path_strategy(6)
@@ -65,7 +64,7 @@ def test_script_openings_and_replies():
     opening = 1
     p6 = p6.after(opening, to_move(state))
     state = apply_move(state, opening)
-    assert p6.choose(state, opening) == 4
+    assert p6.choose(state.zero_mask, state.one_mask, 0, opening) == 4
 
 
 def test_path4_script_secures_one_label_per_class():
@@ -74,7 +73,7 @@ def test_path4_script_secures_one_label_per_class():
 
         def explore(state, strat, last):
             while not is_terminal(state) and to_move(state) is strat.role:
-                move = strat.choose(state, last)
+                move = strat.choose(state.zero_mask, state.one_mask, state.passes_used, last)
                 strat = strat.after(move, strat.role)
                 state = apply_move(state, move)
                 last = move
@@ -217,7 +216,7 @@ def test_case3_script_reply_mirrors_inner_and_outer():
     assert d.case_id == 3
     strategy = tree_strategy(g)
     state = new_game(g, ZERO_STARTS)
-    move = strategy.choose(state, None)
+    move = strategy.choose(0, 0, 0, None)
     strategy = strategy.after(move, ZERO_STARTS.starter)
     state = apply_move(state, move)
     # the opponent grabs the outer vertex of one arm; the reply is the
@@ -225,7 +224,7 @@ def test_case3_script_reply_mirrors_inner_and_outer():
     outer = d.roles["v1"]
     strategy = strategy.after(outer, to_move(state))
     state = apply_move(state, outer)
-    reply = strategy.choose(state, outer)
+    reply = strategy.choose(state.zero_mask, state.one_mask, 0, outer)
     assert reply == d.roles["v4"]
 
 
@@ -238,7 +237,7 @@ def test_case6_script_reply_to_second_position():
     opening = 1  # position 2
     script = script.after(opening, to_move(state))
     state = apply_move(state, opening)
-    assert script.choose(state, opening) == 4  # position 5
+    assert script.choose(state.zero_mask, state.one_mask, 0, opening) == 4  # position 5
 
 
 # -- the balance strategy -----------------------------------------------------
@@ -267,38 +266,36 @@ def test_balance_strategy_small_cases():
 # -- the territory rule -------------------------------------------------------
 
 
-def _position(n, zero, one):
-    # a hand-built position: choose reads only the labels and the last move
-    return GameState(n, ZERO_STARTS, vertex_mask(zero), vertex_mask(one), 0)
+def _position(zero, one):
+    # a hand-built pass-free position: choose's zero, one and passes
+    return vertex_mask(zero), vertex_mask(one), 0
 
 
 def test_split_opens_the_next_free_part_once_the_lower_ones_fill():
     # path_strategy(12) has the parts 0..5 and 6..11; the opponent's label
     # fills part 0, so the reply opens part 1 on its first vertex
-    state = _position(12, {0, 2, 4}, {1, 3, 5})
-    assert path_strategy(12).choose(state, 5) == 6
+    assert path_strategy(12).choose(*_position({0, 2, 4}, {1, 3, 5}), 5) == 6
     # balance_maximizer_strategy(6) has the pairs (0,1), (2,3), (4,5) and
     # opens a pair on its far end
     balance = balance_maximizer_strategy(6)
-    assert balance.choose(_position(6, {0, 1}, set()), 1) == 3
-    assert balance.choose(_position(6, {0, 2}, {1, 3}), 2) == 5
+    assert balance.choose(*_position({0, 1}, set()), 1) == 3
+    assert balance.choose(*_position({0, 2}, {1, 3}), 2) == 5
 
 
 def test_split_refuses_a_part_closed_above_an_open_one():
     with pytest.raises(StrategyError, match="pairing discipline"):
-        path_strategy(12).choose(_position(12, {6, 8, 10}, {7, 9, 11}), 11)
+        path_strategy(12).choose(*_position({6, 8, 10}, {7, 9, 11}), 11)
     with pytest.raises(StrategyError, match="pairing discipline"):
-        balance_maximizer_strategy(6).choose(_position(6, {4}, {5}), 4)
+        balance_maximizer_strategy(6).choose(*_position({4}, {5}), 4)
 
 
 def test_split_refuses_a_pass_and_an_unprompted_move():
     # no last move is the opening, or else an opponent's pass or a call out of turn
     strategy = path_strategy(12)
-    passed = GameState(12, ONE_STARTS_WITH_PASS, 0, 0, 1)
     with pytest.raises(StrategyError, match="built for pass-free variants"):
-        strategy.choose(passed, None)
+        strategy.choose(0, 0, 1, None)
     with pytest.raises(StrategyError, match="unprompted move mid-game"):
-        strategy.choose(_position(12, {0}, {1}), None)
+        strategy.choose(*_position({0}, {1}), None)
 
 
 def test_cached_split_moves_equal_fresh_script_moves(monkeypatch):
@@ -307,11 +304,12 @@ def test_cached_split_moves_equal_fresh_script_moves(monkeypatch):
     cached_move = SplitStrategy._part_move
     decisions = hits = 0
 
-    def checked(self, k, state, last_move):
+    def checked(self, k, zero, one, passes, last_move):
         nonlocal decisions, hits
         known = len(self._moves)
-        move = cached_move(self, k, state, last_move)
-        assert move == self.parts[k].choose(state, last_move), (self.provenance, state, k)
+        move = cached_move(self, k, zero, one, passes, last_move)
+        assert move == self.parts[k].choose(zero, one, passes, last_move), \
+            (self.provenance, zero, one, passes, k)
         decisions += 1
         hits += len(self._moves) == known
         return move
@@ -374,7 +372,7 @@ def test_strategies_stay_legal_under_random_play():
             last = None
             while not is_terminal(state):
                 if to_move(state) is strat.role:
-                    move = strat.choose(state, last)
+                    move = strat.choose(state.zero_mask, state.one_mask, state.passes_used, last)
                     assert move in legal_moves(state)
                 else:
                     move = rng.choice(legal_moves(state))
@@ -393,7 +391,10 @@ def test_after_leaves_the_receiver_unchanged():
         last = None
         while not is_terminal(state):
             mover = to_move(state)
-            move = strat.choose(state, last) if mover is strat.role else rng.choice(legal_moves(state))
+            if mover is strat.role:
+                move = strat.choose(state.zero_mask, state.one_mask, state.passes_used, last)
+            else:
+                move = rng.choice(legal_moves(state))
             key = strat.state_key()
             moved = strat.after(move, mover)
             assert strat.state_key() == key
