@@ -14,6 +14,14 @@ above a Maker-Breaker cap).  ``verify`` checks its ``--max-n`` against every
 selected fixture's cap, and ``table`` and ``probe-balance`` against the
 solver's, before doing any work.  A graph above ``MAX_VERTICES`` is an input
 error, refused before it is built.
+
+Module loading follows the command.  At import this module loads only what
+``solve`` runs: ``graphs``, ``game``, ``graph6`` and ``solver``.  Each other
+command imports what it uses in its own body: ``verify`` the fixtures of
+``cordiality.verify`` (with the strategy harness, the strategies, tree
+enumeration and the Maker-Breaker solver), ``mb`` the Maker-Breaker solver,
+``table`` the path bound, ``trees`` and the ``trees:``/``prufer:`` specs the
+tree module, and ``solve --jobs`` above 1 ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -24,9 +32,8 @@ import json
 import random
 import sys
 from functools import partial
-from multiprocessing import Pool
 
-from .game import PASS, Move, Objective, Player, VARIANT_CODES, ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS
+from .game import PASS, Move, Objective, VARIANT_CODES
 from .graph6 import Graph6Error, emit_graph6, parse_edge_list, parse_graph6_file
 from .graphs import (
     MAX_VERTICES,
@@ -37,18 +44,7 @@ from .graphs import (
     spider_graph,
     star_graph,
 )
-from .harness import Sweep
-from .makerbreaker import MB_MAX_N, export_hypergraph, maker_breaker_value, winning_family
 from .solver import DEFAULT_MAX_N, GAME_NUMBERS, SolverCapError, game_number, solve
-from .strategies import (
-    balance_maximizer_strategy,
-    path_bound,
-    path_strategy,
-    suffix_pair_edge,
-    tree_bound,
-    tree_strategy,
-)
-from .trees import MAX_ENUM_ORDER, enumerate_trees, prufer_decode, trees_by_order
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -71,8 +67,12 @@ def make_graph(spec: str) -> list[Graph]:
         if kind == "spider":
             return [spider_graph([int(x) for x in arg.split(",")])]
         if kind == "trees":
+            from .trees import enumerate_trees
+
             return list(enumerate_trees(int(arg)))
         if kind == "prufer":
+            from .trees import prufer_decode
+
             seq = [int(x) for x in arg.split(",")] if arg else []
             return [prufer_decode(seq, len(seq) + 2)]
     except (ValueError, GraphError) as exc:
@@ -160,6 +160,8 @@ def map_jobs(func, items: list, jobs: int) -> list:
     workers = min(jobs, len(items))
     if workers <= 1:
         return [func(item) for item in items]
+    from multiprocessing import Pool
+
     with Pool(processes=workers) as pool:
         return pool.map(func, items)
 
@@ -175,6 +177,8 @@ def cmd_solve(args, out) -> int:
 def cmd_table(args, out) -> int:
     if args.max_n > DEFAULT_MAX_N:  # refuse before solving any path
         raise SolverCapError(f"table supports --max-n up to {DEFAULT_MAX_N}")
+    from .strategies import path_bound
+
     records = []
     for n in range(args.min_n, args.max_n + 1):
         g = path_graph(n)
@@ -185,145 +189,24 @@ def cmd_table(args, out) -> int:
         row["bound_ok"] = row["cg"] <= path_bound(n)
         parity = g.edge_count % 2
         row["parity_ok"] = all(row[name] % 2 == parity for name in GAME_NUMBERS)
+        # cg >= bg: its optimal balance play holds the one player's e1 - e0,
+        # and so |e1 - e0|, to at least bg
+        row["cg_ge_bg"] = row["cg"] >= row["bg"]
         records.append(row)
     emit_records(records, args.format, out)
     return EXIT_OK
 
 
-def _check_strategy(records, fixture, g, strategy, variant, objective, bound,
-                    terminal_check=None) -> None:
-    """Sweep ``strategy`` on ``g`` and record whether its worst case meets ``bound``.
-
-    The worst case over every adversary reply is the proof: a zero-player
-    strategy holding it to at most ``bound`` bounds the game value from
-    above, a one-player strategy holding it to at least ``bound`` from
-    below.  A failing record carries a witness line, read from the same
-    sweep, that realizes the worst case; a terminal that fails
-    ``terminal_check`` counts as the worst case.
-    """
-    sweep = Sweep(g, strategy, variant, objective, terminal_check)
-    worst = sweep.worst
-    ok = worst <= bound if strategy.role is Player.ZERO else worst >= bound
-    record = {
-        "fixture": fixture,
-        "graph": emit_graph6(g),
-        "strategy": strategy.provenance,
-        "claimed_bound": bound,
-        "worst_case": worst,
-        "pass": ok,
-    }
-    if not ok:
-        record["witness_line"] = line_json(sweep.line())
-    records.append(record)
-
-
-def _verify_small_paths(records, max_n=None) -> None:
-    """Exact values and scripts on the paths with 3 to min(6, ``max_n``) vertices."""
-    expected = {3: 0, 4: 1, 5: 2, 6: 1}
-    for n, value in expected.items():
-        if max_n is not None and n > max_n:
-            break
-        g = path_graph(n)
-        for variant in (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS):
-            got = solve(g, variant, Objective.CORDIALITY, line=False).value
-            records.append(
-                {
-                    "fixture": "small-paths",
-                    "graph": emit_graph6(g),
-                    "variant": variant.code,
-                    "expected": value,
-                    "got": got,
-                    "pass": got == value,
-                }
-            )
-            _check_strategy(records, "small-paths", g, path_strategy(n), variant,
-                            Objective.CORDIALITY, value)
-
-
-def _verify_path_bound(records, max_n) -> None:
-    for n in range(3, max_n + 1):
-        g = path_graph(n)
-        bound = path_bound(n)
-        value = solve(g, ZERO_STARTS, Objective.CORDIALITY, line=False).value
-        records.append(
-            {
-                "fixture": "path-bound",
-                "graph": emit_graph6(g),
-                "value": value,
-                "claimed_bound": bound,
-                "pass": value <= bound,
-            }
-        )
-        _check_strategy(records, "path-bound", g, path_strategy(n), ZERO_STARTS,
-                        Objective.CORDIALITY, bound)
-
-
-def _verify_tree_bound(records, max_n) -> None:
-    for n, trees in enumerate(trees_by_order(max_n), 1):
-        if n < 2:
-            continue
-        bound = tree_bound(n)
-        for g in trees:
-            _check_strategy(records, "tree-bound", g, tree_strategy(g), ZERO_STARTS,
-                            Objective.CORDIALITY, bound)
-
-
-def _verify_balance_bound(records, max_n) -> None:
-    for n in range(2, max_n + 1):
-        g = path_graph(n)
-        a, b = suffix_pair_edge(n)
-
-        def suffix_edge_cut(state, a=a, b=b):
-            return bool((state.zero_mask >> a ^ state.zero_mask >> b) & 1)
-
-        _check_strategy(records, "balance-bound", g, balance_maximizer_strategy(n),
-                        ZERO_STARTS, Objective.BALANCE, 0, suffix_edge_cut)
-
-
-def _verify_mb_equiv(records, max_n) -> None:
-    subjects = [path_graph(n) for n in range(2, max_n + 1)]
-    for n, trees in enumerate(trees_by_order(min(max_n, 6)), 1):
-        if n >= 2:
-            subjects.extend(trees)
-    for g in subjects:
-        for name, (variant, objective) in GAME_NUMBERS.items():
-            mb = maker_breaker_value(g, variant, objective)
-            sv = solve(g, variant, objective, line=False).value
-            records.append(
-                {
-                    "fixture": "mb-equiv",
-                    "graph": emit_graph6(g),
-                    "which": name,
-                    "mb_value": mb,
-                    "game_value": sv,
-                    "pass": mb == sv,
-                }
-            )
-
-
-# fixture name -> (check, default --max-n, largest --max-n and the error
-# past it: a tree order past enumeration is an input error, a graph past a
-# solver's cap a refusal)
-_FIXTURE_RUNS = {
-    "small-paths": (_verify_small_paths, None, None, None),
-    "path-bound": (_verify_path_bound, 12, DEFAULT_MAX_N, SolverCapError),
-    "tree-bound": (_verify_tree_bound, 8, MAX_ENUM_ORDER, GraphError),
-    "balance-bound": (_verify_balance_bound, 10, DEFAULT_MAX_N, SolverCapError),
-    "mb-equiv": (_verify_mb_equiv, 8, MB_MAX_N, SolverCapError),
-}
-FIXTURES = tuple(_FIXTURE_RUNS)
+# the fixtures of ``verify``, in run order; ``verify.FIXTURE_RUNS`` holds
+# their checks and caps, and is imported only when ``verify`` runs
+FIXTURES = ("small-paths", "path-bound", "tree-bound", "balance-bound", "mb-equiv")
 
 
 def cmd_verify(args, out) -> int:
+    from . import verify
+
     names = FIXTURES if args.fixture == "all" else (args.fixture,)
-    for name in names:  # refuse an out-of-range --max-n before any work
-        _, _, cap, error = _FIXTURE_RUNS[name]
-        if cap is not None and args.max_n is not None and args.max_n > cap:
-            raise error(f"verify {name} supports --max-n up to {cap}")
-    records: list[dict] = []
-    for name in names:
-        run, default_max_n, _, _ = _FIXTURE_RUNS[name]
-        run(records, args.max_n or default_max_n)
+    records = verify.run(names, args.max_n)
     emit_records(records, args.format, out)
     all_ok = all(record["pass"] for record in records)
     summary = "all fixtures passed" if all_ok else "FAILURES above"
@@ -359,6 +242,8 @@ def cmd_probe_balance(args, out) -> int:
 
 
 def cmd_mb(args, out) -> int:
+    from .makerbreaker import export_hypergraph, maker_breaker_value, winning_family
+
     graphs = load_graphs(args)
     variant = VARIANT_CODES[args.variant]
     objective = Objective(args.objective)
@@ -384,6 +269,8 @@ def cmd_mb(args, out) -> int:
 
 
 def cmd_trees(args, out) -> int:
+    from .trees import enumerate_trees
+
     for g in enumerate_trees(args.n):
         out.write(emit_graph6(g) + "\n")
     return EXIT_OK

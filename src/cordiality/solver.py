@@ -128,7 +128,7 @@ class _Searcher:
             (v, v + 1) for v in range(self.n - 1)
         )
         self._nodes_cell = [0]
-        self._search = self._make_search()
+        self._search, self.release = self._make_search()
 
     @property
     def nodes(self) -> int:
@@ -136,6 +136,7 @@ class _Searcher:
 
     def _make_search(self):
         # One closure with everything bound locally; this is the hot loop.
+        # Returned with ``release``, which breaks its reference to itself.
         n = self.n
         full = self.full
         adj = self.g.adj
@@ -417,7 +418,14 @@ class _Searcher:
             table[key] = (lo + _BIAS) << _SHIFT | (hi + _BIAS)
             return g_val
 
-        return search
+        def release() -> None:
+            # search calls itself through this scope's cell; emptying the cell
+            # lets reference counting free the closure and the table it holds
+            # as soon as the searcher is dropped, not at a later collection
+            nonlocal search
+            del search
+
+        return search, release
 
     def bounds(
         self, zero: int, one: int, passes: int, lo: int, hi: int, target: int | None = None
@@ -513,14 +521,12 @@ def solve(
         raise SolverCapError(
             f"graph has {g.edge_count} edges, above the {_BIAS - 1} a table entry can hold"
         )
-    searcher = _Searcher(g, variant, objective)
     if g.n == 0:
         return SolveResult(value=0, nodes=0, principal_line=[])
+    searcher = _Searcher(g, variant, objective)
     value = searcher.state_value(0, 0, 0)
     moves = _descend_line(searcher, value) if line else []
-    # the search closure calls itself, so the searcher is garbage only to the
-    # cyclic collector, which may run many solves later: free the table now
-    searcher.table.clear()
+    searcher.release()
     return SolveResult(value=value, nodes=searcher.nodes, principal_line=moves)
 
 

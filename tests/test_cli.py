@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from cordiality import cli, emit_graph6, enumerate_trees, path_graph
+from cordiality import cli, emit_graph6, enumerate_trees, path_graph, verify
 from cordiality.cli import main
 
 
@@ -68,7 +68,7 @@ def test_solve_jobs_below_one_is_refused(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(cli, "Pool", no_pool)
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
     for jobs in ("0", "-3"):
         with pytest.raises(SystemExit) as exc:
             run_cli(["solve", "--graph", "path:4", "--jobs", jobs])
@@ -94,7 +94,7 @@ def test_solve_jobs_caps_workers_at_graph_count(tmp_path, monkeypatch):
     path = tmp_path / "paths.g6"
     path.write_text(emit_graph6(path_graph(4)) + "\n" + emit_graph6(path_graph(5)) + "\n")
     _, sequential = run_cli(["solve", "--file", str(path)])
-    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
     _, pooled = run_cli(["solve", "--file", str(path), "--jobs", "8"])
     assert started == [2]
     assert pooled == sequential
@@ -146,12 +146,13 @@ def test_table_small_values_and_schema():
     code, text = run_cli(["table", "--min-n", "3", "--max-n", "6", "--format", "csv"])
     assert code == 0
     lines = text.strip().splitlines()
-    assert lines[0] == "n,cg,cg_i,cg_ip,bg,path_bound,bound_ok,parity_ok"
+    assert lines[0] == "n,cg,cg_i,cg_ip,bg,path_bound,bound_ok,parity_ok,cg_ge_bg"
     rows = {int(line.split(",")[0]): line.split(",") for line in lines[1:]}
+    assert sorted(rows) == [3, 4, 5, 6]
     assert rows[3][1:5] == ["0", "0", "0", "0"]
     assert rows[4][1:5] == ["1", "1", "1", "1"]
     assert rows[6][1:5] == ["1", "1", "1", "1"]
-    assert all(row[6] == "True" and row[7] == "True" for row in rows.values())
+    assert all(row[6:9] == ["True", "True", "True"] for row in rows.values())
 
 
 def test_verify_fixtures_pass():
@@ -168,6 +169,11 @@ def test_verify_fixtures_pass():
     assert code == 0
 
 
+def test_cli_and_verify_list_the_same_fixtures_in_run_order():
+    # cli names the fixtures for --help without importing the fixture module
+    assert cli.FIXTURES == tuple(verify.FIXTURE_RUNS)
+
+
 def test_verify_small_paths_honours_max_n():
     code, text = run_cli(["verify", "small-paths", "--max-n", "4"])
     assert code == 0
@@ -178,17 +184,15 @@ def test_verify_small_paths_honours_max_n():
 
 def test_verify_failure_exits_one_with_witness(monkeypatch):
     # force an unattainable claimed bound so the fixture must fail
-    import cordiality.cli as cli_module
-
-    monkeypatch.setattr(cli_module, "path_bound", lambda n: -1)
+    monkeypatch.setattr(verify, "path_bound", lambda n: -1)
     sweeps = []
 
-    class CountedSweep(cli_module.Sweep):
+    class CountedSweep(verify.Sweep):
         def __init__(self, g, *args):
             sweeps.append(emit_graph6(g))
             super().__init__(g, *args)
 
-    monkeypatch.setattr(cli_module, "Sweep", CountedSweep)
+    monkeypatch.setattr(verify, "Sweep", CountedSweep)
     code, text = run_cli(["verify", "path-bound", "--max-n", "6"])
     assert code == 1
     records = jsonl(text)
@@ -206,7 +210,7 @@ def test_verify_failure_exits_one_with_witness(monkeypatch):
 
 def test_verify_failed_terminal_check_exits_one_with_witness(monkeypatch):
     # the pair (0, 0) is never cut, so every terminal fails the suffix check
-    monkeypatch.setattr(cli, "suffix_pair_edge", lambda n: (0, 0))
+    monkeypatch.setattr(verify, "suffix_pair_edge", lambda n: (0, 0))
     code, text = run_cli(["verify", "balance-bound", "--max-n", "4"])
     assert code == 1
     records = jsonl(text)
@@ -220,8 +224,10 @@ def test_verify_failed_terminal_check_exits_one_with_witness(monkeypatch):
 @pytest.mark.parametrize("fixture, name", [("small-paths", "solve"),
                                            ("mb-equiv", "maker_breaker_value")])
 def test_verify_failing_value_record_alone_exits_one(monkeypatch, fixture, name):
-    # one value off by two on P4 under variant I; every sweep still passes
-    original = getattr(cli, name)
+    # one value off by two on P4 under variant I; every sweep still passes;
+    # the fixtures solve through cli.solve
+    module = cli if name == "solve" else verify
+    original = getattr(module, name)
 
     def off_on_p4(g, variant, objective, **kwargs):
         got = original(g, variant, objective, **kwargs)
@@ -229,7 +235,7 @@ def test_verify_failing_value_record_alone_exits_one(monkeypatch, fixture, name)
             return got
         return dataclasses.replace(got, value=got.value + 2) if name == "solve" else got + 2
 
-    monkeypatch.setattr(cli, name, off_on_p4)
+    monkeypatch.setattr(module, name, off_on_p4)
     code, text = run_cli(["verify", fixture, "--max-n", "5"])
     assert code == 1
     records = jsonl(text)
@@ -255,12 +261,12 @@ def test_verify_all_sweep_work_is_pinned(monkeypatch):
     # merges or splits positions shows here.
     entries = []
 
-    class CountedSweep(cli.Sweep):
+    class CountedSweep(verify.Sweep):
         def __init__(self, *args):
             super().__init__(*args)
             entries.append(self.entries)
 
-    monkeypatch.setattr(cli, "Sweep", CountedSweep)
+    monkeypatch.setattr(verify, "Sweep", CountedSweep)
     assert main(["verify", "all", "--max-n", "10"], out=io.StringIO()) == 0
     assert len(entries) == 229
     assert sum(entries) == 23321
@@ -332,8 +338,9 @@ def test_verify_refuses_max_n_past_a_fixture_cap_before_any_work(monkeypatch, ca
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("solve", "maker_breaker_value", "Sweep"):
-        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli, "solve", no_work)
+    for name in ("maker_breaker_value", "Sweep"):
+        monkeypatch.setattr(verify, name, no_work)
     # tree enumeration ends at order 12 (an input error); the Maker-Breaker
     # solver at 14 and the game solver at 22 (refusals); under "all" the
     # first fixture past its cap in run order decides the exit code

@@ -1,0 +1,81 @@
+"""What a fresh process loads: importing the package loads no submodule,
+and a ``solve`` loads only the modules it runs."""
+
+import json
+import os
+import subprocess
+import sys
+from types import ModuleType
+
+import pytest
+
+import cordiality
+from cordiality import emit_graph6, path_graph, star_graph
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# sorted(cordiality.__all__) as it stood when the package imported every
+# submodule eagerly; the lazy exports keep the same names
+PUBLIC_NAMES = [
+    "BranchDecomposition", "CASE6_WINNING_SETS", "GameState", "Graph", "Graph6Error",
+    "GraphError", "IllegalMoveError", "Move", "NonTreeError", "ONE_STARTS",
+    "ONE_STARTS_WITH_PASS", "Objective", "PASS", "Player", "SetFamily", "SolveResult",
+    "SolverCapError", "Strategy", "StrategyError", "StrategyMoveError", "Sweep",
+    "VARIANT_CODES", "Variant", "ZERO_STARTS", "apply_move", "arm_components",
+    "balance_maximizer_strategy", "branching", "brute_force_value", "centroids",
+    "emit_graph6", "enumerate_trees", "export_hypergraph", "find_branch", "from_edges",
+    "game", "game_number", "graph6", "graphs", "harness", "is_legal", "is_terminal",
+    "legal_moves", "maker_breaker_value", "makerbreaker", "new_game", "oracle",
+    "parse_edge_list", "parse_graph6", "parse_graph6_file", "path_bound", "path_graph",
+    "path_strategy", "position_values", "prufer_decode", "random_connected_graph",
+    "solve", "solver", "spider_graph", "star_graph", "strategies", "suffix_pair_edge",
+    "terminal_value", "to_move", "tree_bound", "tree_canonical_code", "tree_strategy",
+    "trees", "trees_by_order", "winning_family",
+]
+
+OFF_THE_SOLVE_PATH = {
+    f"cordiality.{name}"
+    for name in ("harness", "strategies", "branching", "makerbreaker", "oracle", "trees", "verify")
+} | {"multiprocessing"}
+
+
+def loaded_by(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True, timeout=60)
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def test_package_import_loads_no_submodule():
+    loaded = loaded_by("import cordiality")
+    assert "cordiality" in loaded
+    assert sorted(m for m in loaded if m.startswith("cordiality.")) == []
+
+
+def test_solve_loads_only_the_solver_path(tmp_path):
+    g6 = tmp_path / "g.g6"
+    g6.write_text(emit_graph6(star_graph(6)) + "\n" + emit_graph6(path_graph(5)) + "\n")
+    before = loaded_by("")
+    for argv in (["solve", "--graph", "path:6"],
+                 ["solve", "--file", str(g6), "--objective", "balance"]):
+        loaded = loaded_by(f"import cordiality.cli\nassert cordiality.cli.main({argv!r}) == 0")
+        assert {"cordiality.solver", "cordiality.graph6"} <= loaded, argv
+        assert sorted((loaded - before) & OFF_THE_SOLVE_PATH) == [], argv
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(cordiality.__all__) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(cordiality))
+    for name in PUBLIC_NAMES:
+        value = getattr(cordiality, name)
+        if isinstance(value, ModuleType):
+            assert value is sys.modules[f"cordiality.{name}"]
+    assert cordiality.solve is cordiality.solver.solve
+    star: dict = {}
+    exec("from cordiality import *", star)
+    assert set(PUBLIC_NAMES) <= set(star)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cordiality.no_such_name

@@ -113,3 +113,17 @@ def test_solved_game_is_freed_without_the_cyclic_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("line", [False, True])
+def test_solve_is_freed_without_the_cyclic_collector(line):
+    # the solver's search closure calls itself; solve breaks that cycle, so
+    # its searcher and table are freed by reference counting on return
+    gc.collect()
+    gc.disable()
+    try:
+        result = solve(path_graph(10), ZERO_STARTS, Objective.CORDIALITY, line=line)
+        assert len(result.principal_line) == (10 if line else 0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
