@@ -359,4 +359,8 @@ def entry() -> None:  # console-script hook
 
 
 if __name__ == "__main__":
+    # under ``python -m cordiality.cli`` this module is ``__main__``; register
+    # it under its own name too, so that ``verify``'s ``from . import cli``
+    # binds this module instead of running the file a second time
+    sys.modules.setdefault("cordiality.cli", sys.modules[__name__])
     entry()

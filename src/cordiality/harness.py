@@ -3,10 +3,11 @@
 ``Sweep`` pins one side to a Strategy and ranges over every legal reply
 of the other side, so its ``worst`` is the exact worst value the strategy
 can be held to (the adversary maximizes against a zero-player strategy and
-minimizes against a one-player strategy).  Positions are memoized together
-with the strategy's internal state key, which makes the search collapse
-across move-order interleavings; ``Sweep.entries`` counts the memo's
-positions.
+minimizes against a one-player strategy).  A strategy holds no state and
+answers from the position and the last move alone, so an adversary-to-move
+position is memoized on its label masks and passes alone, one int, which
+makes the search collapse across move-order interleavings;
+``Sweep.entries`` counts the memo's positions.
 
 The recursion runs on plain ints: the two label masks, the passes spent,
 the labelled count and the running count of cut edges, which each label
@@ -17,11 +18,12 @@ itself, under ``game``'s turn and pass rules.  The strategy's ``choose``
 reads the same ints.  Its move is legal at once when it is a vertex int on
 a free vertex; anything else (a pass, or no move at all) is checked by
 ``game.is_legal`` on a built ``GameState``, and an illegal move raises
-``StrategyMoveError``.  Otherwise a ``GameState`` is built only for the
-terminal check and for ``Sweep.line``.
+``StrategyMoveError``.  Otherwise a ``GameState`` is built only for
+``Sweep.line``.
 
-An optional terminal check is a predicate on every reachable final
-position, so per-playout structural claims are verified in the same sweep.
+An optional terminal check is a predicate on the final zero mask of every
+reachable terminal (which fixes the whole labelling), so per-playout
+structural claims are verified in the same sweep.
 A terminal that fails it scores one past every real score in the
 adversary's favour (``|E| + 1`` against a zero-player strategy,
 ``-|E| - 1`` against a one-player strategy), so the worst case exposes it
@@ -65,9 +67,10 @@ class Sweep:
     line realizing it on demand, both read from the same memo.
 
     ``worst`` is the exact extremal value over all adversary plays with the
-    strategy fixed.  A reachable terminal on which ``terminal_check`` is
-    false scores one past the worst real score, ``|E| + 1`` against a
-    zero-player strategy and ``-|E| - 1`` against a one-player strategy.
+    strategy fixed.  A reachable terminal whose zero mask fails
+    ``terminal_check`` scores one past the worst real score, ``|E| + 1``
+    against a zero-player strategy and ``-|E| - 1`` against a one-player
+    strategy.
     """
 
     def __init__(
@@ -76,7 +79,7 @@ class Sweep:
         strategy: Strategy,
         variant: Variant,
         objective: Objective,
-        terminal_check: Callable[[GameState], bool] | None = None,
+        terminal_check: Callable[[int], bool] | None = None,
     ):
         self._n = g.n
         self._adj = g.adj
@@ -86,8 +89,8 @@ class Sweep:
         self._terminal_check = terminal_check
         role = self._role = strategy.role
         self._role_labels_zero = role is Player.ZERO
-        self._adversary = role.opponent
-        self._maximizing = self._adversary is Player.ONE
+        # the adversary of a zero-player strategy is the one player, who maximizes
+        self._maximizing = role is Player.ZERO
         self._failed = g.edge_count + 1 if self._maximizing else -g.edge_count - 1
         self._start = new_game(g, variant)
         # the strategy moves when labelled + passes has this parity
@@ -95,9 +98,9 @@ class Sweep:
         # only the one player may pass, so only a zero-player strategy's
         # adversary holds the variant's passes
         self._adversary_passes = variant.pass_budget if role is Player.ZERO else 0
-        self._memo: dict[tuple, int] = {}
-        self._strategy = strategy
-        self.worst = self._value(0, 0, 0, 0, 0, strategy, None)
+        self._memo: dict[int, int] = {}
+        self._choose = strategy.choose
+        self.worst = self._value(0, 0, 0, 0, 0, None)
 
     @property
     def entries(self) -> int:
@@ -105,30 +108,29 @@ class Sweep:
         return len(self._memo)
 
     def _value(self, zero: int, one: int, passes: int, labeled: int, cross: int,
-               strat: Strategy, last_move: Move) -> int:
+               last_move: Move) -> int:
         """The memoized value of the position ``(zero, one, passes)``, with
-        ``labeled`` vertices labelled and ``cross`` edges cut, and ``strat``
-        to play on."""
+        ``labeled`` vertices labelled and ``cross`` edges cut, reached by
+        ``last_move``."""
         n = self._n
         adj = self._adj
         # the strategy's moves, up to the adversary's turn or the end
         while True:
             if labeled == n:
                 check = self._terminal_check
-                if check is not None and not check(GameState(n, self._variant, zero, one, passes)):
+                if check is not None and not check(zero):
                     return self._failed
                 d = 2 * cross - self._edges
                 return abs(d) if self._absolute else d
             if (labeled + passes) & 1 != self._role_parity:
                 break
-            move = strat.choose(zero, one, passes, last_move)
+            move = self._choose(zero, one, passes, last_move)
             # a vertex int on a free vertex is legal by ``game``'s rule;
             # anything else, a pass included, is left to ``is_legal``
             if not (type(move) is int and 0 <= move < n and not (zero | one) >> move & 1):
                 state = GameState(n, self._variant, zero, one, passes)
                 if not is_legal(state, move):
                     raise StrategyMoveError(state, move, "not among the legal moves")
-            strat = strat.after(move, self._role)
             if move is PASS:
                 passes += 1
             elif self._role_labels_zero:
@@ -141,11 +143,10 @@ class Sweep:
                 labeled += 1
             last_move = move
         memo = self._memo
-        key = (passes << 2 * n | one << n | zero, strat.state_key())
+        key = passes << 2 * n | one << n | zero
         cached = memo.get(key)
         if cached is not None:
             return cached
-        adversary = self._adversary
         maximizing = self._maximizing
         value = self._value
         free = ((1 << n) - 1) & ~(zero | one)
@@ -157,30 +158,27 @@ class Sweep:
             v = bit.bit_length() - 1
             if adversary_labels_zero:
                 score = value(zero | bit, one, passes, labeled + 1,
-                              cross + (adj[v] & one).bit_count(),
-                              strat.after(v, adversary), v)
+                              cross + (adj[v] & one).bit_count(), v)
             else:
                 score = value(zero, one | bit, passes, labeled + 1,
-                              cross + (adj[v] & zero).bit_count(),
-                              strat.after(v, adversary), v)
+                              cross + (adj[v] & zero).bit_count(), v)
             if best is None or (score > best if maximizing else score < best):
                 best = score
         # the pass rule: budget left and at least two free vertices
         if passes < self._adversary_passes and n - labeled >= 2:
-            score = value(zero, one, passes + 1, labeled, cross,
-                          strat.after(PASS, adversary), PASS)
+            score = value(zero, one, passes + 1, labeled, cross, PASS)
             if score > best if maximizing else score < best:
                 best = score
         memo[key] = best
         return best
 
-    def _value_at(self, state: GameState, strat: Strategy, last_move: Move) -> int:
+    def _value_at(self, state: GameState, last_move: Move) -> int:
         """``_value`` of a ``GameState``."""
         zero, one = state.zero_mask, state.one_mask
         adj = self._adj
         cross = sum((adj[v] & zero).bit_count() for v in iter_bits(one))
         return self._value(zero, one, state.passes_used, (zero | one).bit_count(), cross,
-                           strat, last_move)
+                           last_move)
 
     def line(self) -> list[Move]:
         """One complete move list realizing ``worst``.
@@ -191,23 +189,20 @@ class Sweep:
         """
         value = self._value_at
         state = self._start
-        strat = self._strategy
         line: list[Move] = []
         last: Move = None
         while not is_terminal(state):
-            mover = to_move(state)
-            if mover is strat.role:
-                move = strat.choose(state.zero_mask, state.one_mask, state.passes_used, last)
+            if to_move(state) is self._role:
+                move = self._choose(state.zero_mask, state.one_mask, state.passes_used, last)
                 child = apply_move(state, move)
             else:
-                target = value(state, strat, last)
+                target = value(state, last)
                 for move in legal_moves(state):
                     child = apply_move(state, move)
-                    if value(child, strat.after(move, mover), move) == target:
+                    if value(child, move) == target:
                         break
                 else:  # pragma: no cover - would indicate a memo bug
                     raise RuntimeError("no reply keeps the memoized value")
-            strat = strat.after(move, mover)
             line.append(move)
             state = child
             last = move

@@ -115,8 +115,8 @@ def _verify_balance_bound(records, max_n) -> None:
         g = path_graph(n)
         a, b = suffix_pair_edge(n)
 
-        def suffix_edge_cut(state, a=a, b=b):
-            return bool((state.zero_mask >> a ^ state.zero_mask >> b) & 1)
+        def suffix_edge_cut(zero, a=a, b=b):
+            return bool((zero >> a ^ zero >> b) & 1)
 
         _check_strategy(records, "balance-bound", g, balance_maximizer_strategy(n),
                         ZERO_STARTS, Objective.BALANCE, 0, suffix_edge_cut)

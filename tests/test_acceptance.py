@@ -151,8 +151,8 @@ def test_c08_balance_to_14(solved):
         assert solved(g, "bg") >= 0, n
         a, b = suffix_pair_edge(n)
 
-        def suffix_edge_cut(state, a=a, b=b):
-            return bool((state.zero_mask >> a ^ state.zero_mask >> b) & 1)
+        def suffix_edge_cut(zero, a=a, b=b):
+            return bool((zero >> a ^ zero >> b) & 1)
 
         worst = Sweep(
             g, balance_maximizer_strategy(n), ZERO_STARTS, Objective.BALANCE,

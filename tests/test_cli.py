@@ -269,7 +269,7 @@ def test_verify_all_sweep_work_is_pinned(monkeypatch):
     monkeypatch.setattr(verify, "Sweep", CountedSweep)
     assert main(["verify", "all", "--max-n", "10"], out=io.StringIO()) == 0
     assert len(entries) == 229
-    assert sum(entries) == 23321
+    assert sum(entries) == 20899
 
 
 def test_probe_balance_deterministic_and_nonnegative():

@@ -39,11 +39,11 @@ def reference_worst(g, strategy, variant, objective, terminal_check=None):
     """Plain recursion over every adversary reply, with no memo.
 
     The harness memoizes adversary-to-move positions under the key
-    (zero_mask, one_mask, passes_used, strategy.state_key()).  This walks
-    the whole playout tree instead and checks that trust directly: every
-    position reached under one key must have the same subtree value, or a
-    memo hit could return the value of another history.  A terminal that
-    fails ``terminal_check`` scores |E| + 1 for a maximizing adversary and
+    (zero_mask, one_mask, passes_used) alone.  This walks the whole playout
+    tree instead and checks that trust directly: every position reached
+    under one key must have the same subtree value, or a memo hit could
+    return the value of another history.  A terminal whose zero mask fails
+    ``terminal_check`` scores |E| + 1 for a maximizing adversary and
     -|E| - 1 for a minimizing one.
     """
     maximizing = strategy.role.opponent is Player.ONE
@@ -51,25 +51,21 @@ def reference_worst(g, strategy, variant, objective, terminal_check=None):
     failed = g.edge_count + 1 if maximizing else -g.edge_count - 1
     by_key = {}
 
-    def value(state, strat, last):
+    def value(state, last):
         if is_terminal(state):
-            if terminal_check is not None and not terminal_check(state):
+            if terminal_check is not None and not terminal_check(state.zero_mask):
                 return failed
             return terminal_value(state, g, objective)
-        mover = to_move(state)
-        if mover is strat.role:
-            move = strat.choose(state.zero_mask, state.one_mask, state.passes_used, last)
+        if to_move(state) is strategy.role:
+            move = strategy.choose(state.zero_mask, state.one_mask, state.passes_used, last)
             assert move in legal_moves(state)
-            return value(apply_move(state, move), strat.after(move, mover), move)
-        key = (state.zero_mask, state.one_mask, state.passes_used, strat.state_key())
-        best = pick(
-            value(apply_move(state, move), strat.after(move, mover), move)
-            for move in legal_moves(state)
-        )
+            return value(apply_move(state, move), move)
+        key = (state.zero_mask, state.one_mask, state.passes_used)
+        best = pick(value(apply_move(state, move), move) for move in legal_moves(state))
         assert by_key.setdefault(key, best) == best, f"memo key {key} holds two values"
         return best
 
-    return value(new_game(g, variant), strategy, None)
+    return value(new_game(g, variant), None)
 
 
 def assert_memo_sound(g, strategy, variant, objective, terminal_check=None):
@@ -119,8 +115,8 @@ def test_failing_terminal_check_scores_past_every_score():
     g = path_graph(6)
     strategy = balance_maximizer_strategy(6)
 
-    def edge_12_cut(state):
-        return bool((state.zero_mask >> 1 ^ state.zero_mask >> 2) & 1)
+    def edge_12_cut(zero):
+        return bool((zero >> 1 ^ zero >> 2) & 1)
 
     expected = reference_worst(g, strategy, ZERO_STARTS, Objective.BALANCE, edge_12_cut)
     assert expected == -g.edge_count - 1
@@ -132,7 +128,7 @@ def test_failing_terminal_check_scores_past_every_score():
     for move in line:
         assert move in legal_moves(state)
         state = apply_move(state, move)
-    assert is_terminal(state) and not edge_12_cut(state)
+    assert is_terminal(state) and not edge_12_cut(state.zero_mask)
 
 
 def test_finished_sweep_is_freed_without_the_cyclic_collector():
@@ -208,8 +204,8 @@ def test_illegal_strategy_move_raises(case):
 
 
 def test_strategy_moves_build_no_game_state(monkeypatch):
-    # the sweep hands a strategy its masks and checks a vertex move on them;
-    # a GameState is built only for the terminal check
+    # the sweep hands a strategy its masks and checks a vertex move on them,
+    # and the terminal check its zero mask; a legal move builds no GameState
     built = checked = 0
 
     def counted(*fields):
@@ -221,12 +217,12 @@ def test_strategy_moves_build_no_game_state(monkeypatch):
     assert main(["verify", "tree-bound", "--max-n", "8"], out=io.StringIO()) == 0
     assert built == 0
 
-    def edge_45_cut(state):
+    def edge_45_cut(zero):
         nonlocal checked
         checked += 1
-        return bool((state.zero_mask >> 4 ^ state.zero_mask >> 5) & 1)
+        return bool((zero >> 4 ^ zero >> 5) & 1)
 
     sweep = Sweep(path_graph(6), balance_maximizer_strategy(6), ZERO_STARTS, Objective.BALANCE,
                   edge_45_cut)
     assert sweep.worst >= 0
-    assert built == checked > 0
+    assert built == 0 < checked

@@ -39,14 +39,18 @@ OFF_THE_SOLVE_PATH = {
 } | {"multiprocessing"}
 
 
-def loaded_by(code: str) -> set[str]:
-    """The modules a fresh interpreter holds after running ``code``."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args``, the package importable from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+
+
+def loaded_by(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
     script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env, check=True, timeout=60)
-    return set(json.loads(result.stdout.splitlines()[-1]))
+    return set(json.loads(run_python("-c", script).stdout.splitlines()[-1]))
 
 
 def test_package_import_loads_no_submodule():
@@ -64,6 +68,18 @@ def test_solve_loads_only_the_solver_path(tmp_path):
         loaded = loaded_by(f"import cordiality.cli\nassert cordiality.cli.main({argv!r}) == 0")
         assert {"cordiality.solver", "cordiality.graph6"} <= loaded, argv
         assert sorted((loaded - before) & OFF_THE_SOLVE_PATH) == [], argv
+
+
+def test_run_as_main_module_executes_cli_once():
+    # under ``-m`` the file runs as ``__main__``; ``verify`` imports
+    # ``cordiality.cli`` and must get that module, not a second run of the file
+    result = run_python("-X", "importtime", "-m", "cordiality.cli",
+                        "verify", "small-paths", "--max-n", "3")
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "cordiality.verify" in imported
+    assert "cordiality.cli" not in imported
+    assert len(result.stdout.splitlines()) == 6  # a value and a sweep record per variant
 
 
 def test_public_names_are_pinned_and_resolve():
