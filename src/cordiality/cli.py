@@ -11,8 +11,8 @@ Subcommands
 Exit codes: 0 success / all pass, 1 verification failure, 2 input error,
 3 resource refusal (graph above the solver's hard cap without --force, or
 above a Maker-Breaker cap).  ``verify`` checks its ``--max-n`` against every
-selected fixture's cap, and ``table`` and ``probe-balance`` against the
-solver's, before doing any work.  A graph above ``MAX_VERTICES`` is an input
+selected fixture's range, and ``table`` and ``probe-balance`` against the
+solver's cap, before doing any work.  A graph above ``MAX_VERTICES`` is an input
 error, refused before it is built.
 
 Module loading follows the command.  At import this module loads only what
@@ -198,7 +198,7 @@ def cmd_table(args, out) -> int:
 
 
 # the fixtures of ``verify``, in run order; ``verify.FIXTURE_RUNS`` holds
-# their checks and caps, and is imported only when ``verify`` runs
+# their checks and --max-n ranges, and is imported only when ``verify`` runs
 FIXTURES = ("small-paths", "path-bound", "tree-bound", "balance-bound", "mb-equiv")
 
 

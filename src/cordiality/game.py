@@ -84,8 +84,9 @@ class GameState(NamedTuple):
 
     ``zero_mask`` and ``one_mask`` are disjoint vertex bitmasks of the
     0-labeled and 1-labeled vertices.  A named tuple rather than a frozen
-    dataclass: the strategy sweep builds one per move, and a tuple is
-    built without a ``__setattr__`` call per field.
+    dataclass: a tuple is built without a ``__setattr__`` call per field.
+    The strategy sweep runs on plain masks and builds one only for
+    ``Sweep.line`` and for a strategy move that is not a free vertex.
     """
 
     n: int

@@ -3,9 +3,10 @@
 Vertex sets are bitmasks (bit i is vertex i).  ``component`` and
 ``path_walk`` are the one flood fill and the one path walk inside such a
 mask; connectivity checks, the branch decomposition and the strategies'
-territories all use them.  ``cut_size_of_mask`` is the one cut count: a
-labelling's zero side as a mask gives its label-1 (cut) edges, and the
-signed score 2*cut - |E|.
+territories all use them.  ``edges_between`` is the one edge count across
+two vertex masks: the zero and one labels of a position give its label-1
+(cut) edges so far, and ``cut_size_of_mask`` applies it to a labelling's
+zero side and the rest, for the signed score 2*cut - |E|.
 """
 
 from __future__ import annotations
@@ -174,16 +175,21 @@ def spider_graph(leg_lengths: Sequence[int]) -> Graph:
     return from_edges(1 + sum(leg_lengths), legs())
 
 
+def edges_between(g: Graph, a: int, b: int) -> int:
+    """Number of edges with one endpoint in ``a`` and the other in ``b``,
+    for disjoint vertex masks ``a`` and ``b``."""
+    adj = g.adj
+    total = 0
+    while a:
+        low = a & -a
+        a ^= low
+        total += (adj[low.bit_length() - 1] & b).bit_count()
+    return total
+
+
 def cut_size_of_mask(g: Graph, mask: int) -> int:
     """Number of edges with exactly one endpoint in ``mask``."""
-    adj = g.adj
-    outside = ~mask
-    total = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        total += (adj[low.bit_length() - 1] & outside).bit_count()
-    return total
+    return edges_between(g, mask, ~mask)
 
 
 def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -48,7 +48,7 @@ from .game import (
     new_game,
     to_move,
 )
-from .graphs import Graph, iter_bits
+from .graphs import Graph, edges_between
 from .strategies import Strategy
 
 
@@ -81,6 +81,7 @@ class Sweep:
         objective: Objective,
         terminal_check: Callable[[int], bool] | None = None,
     ):
+        self._g = g
         self._n = g.n
         self._adj = g.adj
         self._edges = g.edge_count
@@ -175,10 +176,8 @@ class Sweep:
     def _value_at(self, state: GameState, last_move: Move) -> int:
         """``_value`` of a ``GameState``."""
         zero, one = state.zero_mask, state.one_mask
-        adj = self._adj
-        cross = sum((adj[v] & zero).bit_count() for v in iter_bits(one))
-        return self._value(zero, one, state.passes_used, (zero | one).bit_count(), cross,
-                           last_move)
+        return self._value(zero, one, state.passes_used, (zero | one).bit_count(),
+                           edges_between(self._g, zero, one), last_move)
 
     def line(self) -> list[Move]:
         """One complete move list realizing ``worst``.

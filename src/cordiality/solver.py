@@ -67,17 +67,17 @@ from .game import (
     new_game,
     to_move,
 )
-from .graphs import Graph
+from .graphs import Graph, edges_between
 
 DEFAULT_MAX_N = 22
 TABLE_CAPACITY = 4_000_000
 
 # On a path numbered in path order with at least this many vertices, a key
-# folds with its mirror image.  Measured on a 2 GHz Xeon core, the four game
-# numbers of one path, folding off against on: n = 12 0.28-0.39 s against
-# 0.46-0.49 s; n = 14 2.2-2.3 s against 2.7-4.4 s; n = 15 395 MB against
-# 257 MB peak at about the same time (15-17 s against 16-22 s); n = 16, cg
-# alone, 20.3 s and 428 MB against 17.1 s and 222 MB.
+# folds with its mirror image.  Measured on one pinned Xeon core, cg alone,
+# folding off against on: n = 16 8.7 s and 221 MB against 6.3 s and 118 MB;
+# n = 15 1.77 s against 1.50 s.  Folding at every order instead makes the
+# four game numbers, solved with lines, 10-17 % slower: 11.0 against 12.8 ms
+# at n = 10, 0.76 against 0.87 s at n = 14.
 _REVERSAL_MIN_N = 15
 
 # Under balance, a position with at least this many free vertices tries the
@@ -440,12 +440,7 @@ class _Searcher:
         zero_to_move = self.starter_is_zero == (
             (zero.bit_count() + one.bit_count() + passes) % 2 == 0
         )
-        cross = 0
-        rest = zero
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cross += (self.g.adj[low.bit_length() - 1] & one).bit_count()
+        cross = edges_between(self.g, zero, one)
         gamma = max(lo, min(self.edge_count % 2, hi - 2))  # most values lie at the floor
         while lo < hi:
             g_val = self._search(zero, one, free, passes, zero_to_move, cross,

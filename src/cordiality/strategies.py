@@ -1,33 +1,33 @@
 """Executable labeling strategies with verifiable worst-case guarantees.
 
-Every composite strategy is one ``SplitStrategy``: a flat tuple of
-territories, each a vertex set played by one ``PairScript``.  A path peels
-six-vertex parts off its end; a tree peels the branch shapes of
+Every strategy is one ``PairingStrategy``: a flat tuple of parts, each a
+territory of host vertices and the name of a pairing over it.  A path
+peels six-vertex parts off its end; a tree peels the branch shapes of
 ``branching`` one at a time and puts the path parts of what is left first.
-One territory rule plays every split: the opening goes to part 0, an
-opponent move is answered in its own part while that part has a free
-vertex, and otherwise the reply opens the lowest part with a free vertex.
-A part therefore sees three local move orders: the zero player opens, the
+One rule plays every part.  The opening goes to part 0, an opponent move
+is answered in its own part while that part has a free vertex, and
+otherwise the reply opens the lowest part with a free vertex.  A part
+therefore sees three local move orders: the zero player opens, the
 opponent opens, or the opponent opens and later the zero player moves
 twice in a row (local pass).
 
-Every script is a pairing: take one label in each of a few position sets,
-following the opponent into the set they just played, then the lowest free
-position.  The reply to the opponent's label in a set without a zero label
-is another label of that set, so in every local order each set of two or
-more positions ends with a zero label, and each pairing is chosen so that
-every such labelling keeps its part within bound.  A script reads only the
-position's label masks and the last move; no strategy holds state, so a
-sweep memoizes on the position alone.
-The pairings cover the parts of one or two vertices (two leaves under one
-center and the balance pairs included), the 3- to 6-paths, two 2-arms, a
-leaf beside a 3-arm and two 3-arms.
+Inside its part the strategy takes one label in each set of the pairing,
+following the opponent into the set they just played, then the first set
+still lacking a zero label, then the first free position.  The reply to
+the opponent's label in a set without a zero label is another label of
+that set, so in every local order each set of two or more positions ends
+with a zero label, and each pairing is chosen so that every such
+labelling keeps its part within bound.  A strategy reads only the
+position's label masks and the last move and holds no state, so a sweep
+memoizes on the position alone.  The pairings cover the parts of one or
+two vertices (two leaves under one center and the balance pairs
+included), the 3- to 6-paths, two 2-arms, a leaf beside a 3-arm and two
+3-arms.
 
-The one-player balance strategy is the same split, with the path's vertex
-pairs (n-2, n-1), (n-4, n-3), ... (and vertex 0 alone when n is odd) as
-territories.  Each pair takes its highest free vertex, so the pair's edge
-always gets labeled 1, whether the strategy answers in the pair or opens
-it at the far end.
+The one-player balance strategy plays the path's vertex pairs (n-2, n-1),
+(n-4, n-3), ... (and vertex 0 alone when n is odd) as parts.  Each pair
+takes its highest free vertex, so the pair's edge always gets labeled 1,
+whether the strategy answers in the pair or opens it at the far end.
 """
 
 from __future__ import annotations
@@ -54,42 +54,6 @@ class Strategy:
         is the move just played, or None when nothing has been played yet
         or the opponent passed (``passes`` tells the two apart)."""
         raise NotImplementedError
-
-
-class PairScript(Strategy):
-    """Take one label in each set of a pairing over a fixed tuple of host
-    vertices, following the opponent into the set they just played, then
-    the lowest free position.
-
-    Positions are 1-based, ``verts[i]`` being position i + 1, and
-    ``_PAIRINGS`` names the pairings by provenance.  The script reads the
-    position from the zero player's side: a set holding a 0 label is done
-    (the balance strategy's pairs read only which positions are free).
-    """
-
-    def __init__(self, verts, provenance: str):
-        self.verts = tuple(verts)
-        self.provenance = provenance
-        # each set as its host mask and its host vertices in position order
-        self._pairs = []
-        for pair in _PAIRINGS[provenance]:
-            hosts = tuple(self.verts[p - 1] for p in sorted(pair) if p <= len(self.verts))
-            self._pairs.append((vertex_mask(hosts), hosts))
-
-    def choose(self, zero, one, passes, last_move):
-        free = ~(zero | one)
-        prompt = 0 if last_move is None else 1 << last_move
-        lacking = None  # the set to play: the prompted one, else the first
-        for mask, hosts in self._pairs:
-            if free & mask and not zero & mask:
-                if mask & prompt:
-                    lacking = hosts
-                    break
-                lacking = lacking or hosts
-        for v in lacking or self.verts:
-            if free >> v & 1:
-                return v
-        raise StrategyError(f"{self.provenance}: asked to move with no free vertex")
 
 
 _PAIRINGS = {
@@ -134,58 +98,78 @@ _CASE6_WIN_EVEN = (
 CASE6_WINNING_SETS = _CASE6_WIN_SPLIT + _CASE6_WIN_EVEN
 
 
-class SplitStrategy(Strategy):
-    """Play a flat tuple of territories, one script per part.
+class PairingStrategy(Strategy):
+    """Play a flat tuple of parts, each ``(host vertices, pairing name)``.
 
-    The opening goes to part 0.  An opponent move is answered in its own
-    part while that part has a free vertex; otherwise the reply opens the
-    lowest part with a free vertex, which its script experiences as a
-    local pass.  Parts are answered at once, so the opponent can close a
-    part only when every lower part is already full; a free lower part
-    means the pairing discipline was broken.
+    A part's positions are 1-based, host i being position i + 1, and
+    ``_PAIRINGS`` names the pairings.  A pairing's sets are disjoint and
+    cover its part, so the last move prompts one set.  The strategy reads
+    the position from the zero player's side: a set holding a 0 label is
+    done (the balance strategy's pairs read only which positions are free).
+
+    Parts are answered at once, so the opponent can close a part only when
+    every lower part is already full; a free lower part means the pairing
+    discipline was broken.  A split of more than one part is built for a
+    pass-free game the zero player opens; one part plays on after a pass.
     """
 
     def __init__(self, parts, provenance: str, role: Player = Player.ZERO):
-        self.parts = tuple(parts)
+        self.parts = tuple((tuple(hosts), name) for hosts, name in parts)
         self.provenance = provenance
         self.role = role
-        self._masks = tuple(vertex_mask(part.verts) for part in self.parts)
-        self._part_of = {v: k for k, part in enumerate(self.parts) for v in part.verts}
-        # part k's move by (k, its zero labels, its one labels, the last
-        # move's vertex): everything its script reads
-        self._moves: dict[tuple, Move] = {}
+        self._masks = tuple(vertex_mask(hosts) for hosts, _ in self.parts)
+        self._part_of = {}
+        # each part's sets, and each vertex's set, as the set's host mask and
+        # its hosts in position order
+        self._sets = []
+        self._set_of = {}
+        for k, (hosts, name) in enumerate(self.parts):
+            self._part_of.update(dict.fromkeys(hosts, k))
+            sets = []
+            for pair in _PAIRINGS[name]:
+                set_hosts = tuple(hosts[p - 1] for p in sorted(pair) if p <= len(hosts))
+                sets.append((vertex_mask(set_hosts), set_hosts))
+                self._set_of.update(dict.fromkeys(set_hosts, sets[-1]))
+            self._sets.append(sets)
 
     def choose(self, zero, one, passes, last_move):
-        occupied = zero | one
+        free = ~(zero | one)
         if last_move is None:
-            if passes:
-                raise StrategyError(f"{self.provenance}: built for pass-free variants")
-            if occupied:
-                raise StrategyError(f"{self.provenance}: unprompted move mid-game")
-            if self.role is not Player.ZERO:
-                raise StrategyError(f"{self.provenance}: expects the opponent to start")
-            return self.parts[0].choose(zero, one, passes, None)
-        free = ~occupied
-        k = self._part_of[last_move]
-        if self._masks[k] & free:
-            return self._part_move(k, zero, one, passes, last_move)
-        for j, mask in enumerate(self._masks):
-            if mask & free:
-                if j < k:
-                    raise StrategyError(
-                        f"{self.provenance}: part {j} left open below the closed part {k}; "
-                        "the pairing discipline was broken"
-                    )
-                return self._part_move(j, zero, one, passes, last_move)
+            if len(self.parts) > 1:
+                if passes:
+                    raise StrategyError(f"{self.provenance}: built for pass-free variants")
+                if zero | one:
+                    raise StrategyError(f"{self.provenance}: unprompted move mid-game")
+                if self.role is not Player.ZERO:
+                    raise StrategyError(f"{self.provenance}: expects the opponent to start")
+            k = 0
+        else:
+            # the prompted set lies in the last move's part
+            mask, hosts = self._set_of[last_move]
+            if free & mask and not zero & mask:
+                for v in hosts:
+                    if free >> v & 1:
+                        return v
+            k = self._part_of[last_move]
+        if not self._masks[k] & free:
+            for j, mask in enumerate(self._masks):
+                if mask & free:
+                    if j < k:
+                        raise StrategyError(
+                            f"{self.provenance}: part {j} left open below the closed part "
+                            f"{k}; the pairing discipline was broken"
+                        )
+                    k = j
+                    break
+        for mask, hosts in self._sets[k]:
+            if free & mask and not zero & mask:
+                break
+        else:
+            hosts = self.parts[k][0]
+        for v in hosts:
+            if free >> v & 1:
+                return v
         raise StrategyError(f"{self.provenance}: no free vertex to play")
-
-    def _part_move(self, k: int, zero: int, one: int, passes: int, last_move: Move) -> Move:
-        mask = self._masks[k]
-        key = (k, zero & mask, one & mask, last_move)
-        move = self._moves.get(key)
-        if move is None:
-            move = self._moves[key] = self.parts[k].choose(zero, one, passes, last_move)
-        return move
 
 
 # the pairing of a path part by its vertex count
@@ -193,18 +177,13 @@ _PATH_SCRIPTS = {1: "exact-tiny", 2: "exact-tiny", 3: "path-script-3",
                  4: "path-script-4", 5: "path-script-5", 6: "path-script-6"}
 
 
-def _path_parts(ordered: tuple[int, ...]) -> list[Strategy]:
-    """A path's territories in play order: its first 1 to 6 vertices, then
+def _path_parts(ordered: tuple[int, ...]) -> list[tuple]:
+    """A path's parts in play order: its first 1 to 6 vertices, then
     six-vertex ``path-script-6`` parts to its end."""
     head = (len(ordered) - 1) % 6 + 1
-    parts = [PairScript(ordered[:head], _PATH_SCRIPTS[head])]
-    for start in range(head, len(ordered), 6):
-        parts.append(PairScript(ordered[start:start + 6], "path-script-6"))
+    parts = [(ordered[:head], _PATH_SCRIPTS[head])]
+    parts += [(ordered[s:s + 6], "path-script-6") for s in range(head, len(ordered), 6)]
     return parts
-
-
-def _split(parts: list[Strategy], provenance: str) -> Strategy:
-    return parts[0] if len(parts) == 1 else SplitStrategy(parts, provenance)
 
 
 def path_strategy(n: int) -> Strategy:
@@ -218,7 +197,8 @@ def path_strategy(n: int) -> Strategy:
     """
     if n < 3:
         raise GraphError("path strategy needs at least 3 vertices")
-    return _split(_path_parts(tuple(range(n))), "split-path")
+    parts = _path_parts(tuple(range(n)))
+    return PairingStrategy(parts, parts[0][1] if len(parts) == 1 else "split-path")
 
 
 def _induced_path_order(g: Graph, mask: int) -> tuple[int, ...] | None:
@@ -227,7 +207,7 @@ def _induced_path_order(g: Graph, mask: int) -> tuple[int, ...] | None:
     return path_walk(g, mask, ends[0]) if ends else None
 
 
-# a branch case's script: its roles in position order, and its pairing
+# a branch case's part: its roles in position order, and its pairing
 _CASE_SCRIPTS = {
     1: (("v1", "v2", "v3", "v4"), "path-script-4"),
     2: (("v1", "v2"), "exact-tiny"),
@@ -239,10 +219,10 @@ _CASE_SCRIPTS = {
 }
 
 
-def branch_script(decomposition: BranchDecomposition) -> Strategy:
-    """The scripted policy for the interior of a decomposed branch."""
-    roles, provenance = _CASE_SCRIPTS[decomposition.case_id]
-    return PairScript(tuple(decomposition.roles[r] for r in roles), provenance)
+def branch_script(decomposition: BranchDecomposition) -> tuple:
+    """The part of a decomposed branch's interior: its hosts and pairing."""
+    roles, name = _CASE_SCRIPTS[decomposition.case_id]
+    return tuple(decomposition.roles[r] for r in roles), name
 
 
 def tree_strategy(t: Graph) -> Strategy:
@@ -250,7 +230,7 @@ def tree_strategy(t: Graph) -> Strategy:
 
     Peels one branch shape at a time (see ``branching``) until a path is
     left.  The path's parts come first and the branches follow, the last
-    peeled first; each branch interior is played by its script.
+    peeled first; each branch interior is one part with its case's pairing.
     """
     if not t.is_tree():
         raise NonTreeError("tree strategy needs a tree")
@@ -260,7 +240,9 @@ def tree_strategy(t: Graph) -> Strategy:
         decomposition = find_branch_in(t, mask)
         branches.append(branch_script(decomposition))
         mask = decomposition.remainder_mask
-    return _split(_path_parts(order) + branches[::-1], "split-tree" if branches else "split-path")
+    parts = _path_parts(order) + branches[::-1]
+    provenance = "split-tree" if branches else "split-path"
+    return PairingStrategy(parts, parts[0][1] if len(parts) == 1 else provenance)
 
 
 def balance_maximizer_strategy(n: int) -> Strategy:
@@ -271,9 +253,9 @@ def balance_maximizer_strategy(n: int) -> Strategy:
     """
     if n < 2:
         raise GraphError("balance strategy needs at least 2 vertices")
-    parts = [PairScript((0,), "exact-tiny")] if n % 2 else []
-    parts += [PairScript((v + 1, v), "exact-tiny") for v in range(n % 2, n, 2)]
-    return SplitStrategy(parts, "balance-pair-split", role=Player.ONE)
+    parts = [((0,), "exact-tiny")] if n % 2 else []
+    parts += [((v + 1, v), "exact-tiny") for v in range(n % 2, n, 2)]
+    return PairingStrategy(parts, "balance-pair-split", role=Player.ONE)
 
 
 def suffix_pair_edge(n: int) -> tuple[int, int]:

@@ -3,8 +3,8 @@
 A fixture appends one record per check to a list; every record carries
 ``pass``.  A strategy's bound is proven by sweeping every adversary reply
 (``harness.Sweep``), a value by solving it.  ``run`` checks the requested
-``--max-n`` against every selected fixture's cap before any work, then runs
-the fixtures in order.
+``--max-n`` against every selected fixture's least value and cap before any
+work, then runs the fixtures in order.
 
 The fixtures solve through ``cli.solve`` and write graphs through
 ``cli.emit_graph6``: those are the names a timer or tracer wrapped around
@@ -143,30 +143,35 @@ def _verify_mb_equiv(records, max_n) -> None:
             )
 
 
-# fixture name -> (check, default --max-n, largest --max-n and the error
-# past it: a tree order past enumeration is an input error, a graph past a
-# solver's cap a refusal), in run order; ``cli.FIXTURES`` lists the same names
+# fixture name -> (check, default --max-n, least --max-n (its smallest
+# instance; below it the fixture would check nothing), largest --max-n and
+# the error past it: a tree order past enumeration is an input error, a
+# graph past a solver's cap a refusal), in run order; ``cli.FIXTURES`` lists
+# the same names
 FIXTURE_RUNS = {
-    "small-paths": (_verify_small_paths, None, None, None),
-    "path-bound": (_verify_path_bound, 12, DEFAULT_MAX_N, SolverCapError),
-    "tree-bound": (_verify_tree_bound, 8, MAX_ENUM_ORDER, GraphError),
-    "balance-bound": (_verify_balance_bound, 10, DEFAULT_MAX_N, SolverCapError),
-    "mb-equiv": (_verify_mb_equiv, 8, MB_MAX_N, SolverCapError),
+    "small-paths": (_verify_small_paths, None, 3, None, None),
+    "path-bound": (_verify_path_bound, 12, 3, DEFAULT_MAX_N, SolverCapError),
+    "tree-bound": (_verify_tree_bound, 8, 2, MAX_ENUM_ORDER, GraphError),
+    "balance-bound": (_verify_balance_bound, 10, 2, DEFAULT_MAX_N, SolverCapError),
+    "mb-equiv": (_verify_mb_equiv, 8, 2, MB_MAX_N, SolverCapError),
 }
 
 
 def run(names, max_n: int | None) -> list[dict]:
     """The records of the named fixtures, in order.
 
-    An out-of-range ``max_n`` is refused, with the fixture's error, before
-    any fixture runs; ``None`` runs each at its default.
+    An out-of-range ``max_n`` is refused before any fixture runs: below a
+    fixture's least value as an input error, past its cap with the
+    fixture's error; ``None`` runs each at its default.
     """
     for name in names:
-        _, _, cap, error = FIXTURE_RUNS[name]
+        _, _, least, cap, error = FIXTURE_RUNS[name]
+        if max_n is not None and max_n < least:
+            raise cli.InputError(f"verify {name} needs --max-n of at least {least}")
         if cap is not None and max_n is not None and max_n > cap:
             raise error(f"verify {name} supports --max-n up to {cap}")
     records: list[dict] = []
     for name in names:
-        check, default_max_n, _, _ = FIXTURE_RUNS[name]
+        check, default_max_n, _, _, _ = FIXTURE_RUNS[name]
         check(records, max_n or default_max_n)
     return records

@@ -353,6 +353,32 @@ def test_verify_refuses_max_n_past_a_fixture_cap_before_any_work(monkeypatch, ca
         assert "supports --max-n up to" in capsys.readouterr().err, argv
 
 
+def test_verify_refuses_max_n_below_a_fixtures_smallest_instance_before_any_work(
+        monkeypatch, capsys):
+    # a --max-n below every instance of a fixture would check nothing and
+    # still report "all fixtures passed"; it is an input error instead
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "solve", no_work)
+    for name in ("maker_breaker_value", "Sweep", "trees_by_order"):
+        monkeypatch.setattr(verify, name, no_work)
+    for fixture, least in (("small-paths", 3), ("path-bound", 3), ("tree-bound", 2),
+                           ("balance-bound", 2), ("mb-equiv", 2), ("all", 3)):
+        argv = ["verify", fixture, "--max-n", str(least - 1)]
+        code, text = run_cli(argv)
+        assert (code, text) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert "needs --max-n of at least" in err and "all fixtures passed" not in err, argv
+
+
+def test_verify_at_each_fixtures_least_max_n_checks_something():
+    for fixture in verify.FIXTURE_RUNS:
+        least = verify.FIXTURE_RUNS[fixture][2]
+        code, text = run_cli(["verify", fixture, "--max-n", str(least)])
+        assert code == 0 and jsonl(text), fixture
+
+
 def test_force_refuses_graph_past_table_entry_range(tmp_path, monkeypatch):
     import cordiality.solver
 

@@ -14,7 +14,9 @@ from cordiality import (
     star_graph,
     winning_family,
 )
-from cordiality.graphs import MAX_VERTICES, component, cut_size_of_mask, path_walk, vertex_mask
+from cordiality.graphs import (
+    MAX_VERTICES, component, cut_size_of_mask, edges_between, path_walk, vertex_mask,
+)
 
 
 def test_path_graph_shapes():
@@ -102,6 +104,15 @@ def test_cut_size_known_values():
     assert cut_size_of_mask(path_graph(5), vertex_mask([0, 2, 4])) == 4
     assert cut_size_of_mask(path_graph(5), 0) == 0
     assert cut_size_of_mask(path_graph(6), vertex_mask([0, 1, 2])) == 1
+
+
+def test_edges_between_counts_only_the_two_masks():
+    # on the 6-path, 3-4 and 4-5 cross; 0-1 lies inside one mask, and 1-2
+    # and 2-3 touch vertex 2, which is in neither
+    g = path_graph(6)
+    assert edges_between(g, vertex_mask([0, 1, 4]), vertex_mask([3, 5])) == 2
+    assert edges_between(g, vertex_mask([3, 5]), vertex_mask([0, 1, 4])) == 2
+    assert edges_between(g, vertex_mask([0, 1]), 0) == 0
 
 
 def test_balanced_bipartition():

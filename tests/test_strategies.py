@@ -30,7 +30,7 @@ from cordiality import (
 )
 from cordiality.branching import arm_components
 from cordiality.graphs import vertex_mask
-from cordiality.strategies import _PAIRINGS, PairScript, SplitStrategy, StrategyError
+from cordiality.strategies import _PAIRINGS, PairingStrategy, StrategyError
 from cordiality.trees import NonTreeError
 from conftest import path_bound_mod6
 
@@ -199,7 +199,7 @@ def test_six_position_transversals_avoid_the_bad_sets_and_win_case6():
 def test_case6_script_always_lands_in_winning_sets():
     # two 3-arms as a standalone graph; positions map to vertices 0..5
     g = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    script = PairScript(tuple(range(6)), "twin-3-arms")
+    script = PairingStrategy([(tuple(range(6)), "twin-3-arms")], "twin-3-arms")
     winning = {vertex_mask(p - 1 for p in s) for s in CASE6_WINNING_SETS}
 
     def check(zero):
@@ -255,7 +255,7 @@ def test_case3_script_reply_mirrors_inner_and_outer():
 def test_case6_script_reply_to_second_position():
     # opponent opens the middle of one arm; the reply is the middle of the
     # other arm
-    script = PairScript(tuple(range(6)), "twin-3-arms")
+    script = PairingStrategy([(tuple(range(6)), "twin-3-arms")], "twin-3-arms")
     g = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     state = new_game(g, ONE_STARTS)
     opening = 1  # position 2
@@ -321,29 +321,20 @@ def test_split_refuses_a_pass_and_an_unprompted_move():
         strategy.choose(*_position({0}, {1}), None)
 
 
-def test_cached_split_moves_equal_fresh_script_moves(monkeypatch):
-    # SplitStrategy caches each part's move; at every decision the sweeps
-    # reach, the cached move must be the one the part's script computes now
-    cached_move = SplitStrategy._part_move
-    decisions = hits = 0
-
-    def checked(self, k, zero, one, passes, last_move):
-        nonlocal decisions, hits
-        known = len(self._moves)
-        move = cached_move(self, k, zero, one, passes, last_move)
-        assert move == self.parts[k].choose(zero, one, passes, last_move), \
-            (self.provenance, zero, one, passes, k)
-        decisions += 1
-        hits += len(self._moves) == known
-        return move
-
-    monkeypatch.setattr(SplitStrategy, "_part_move", checked)
-    cases = [(t, tree_strategy(t)) for n in range(3, 10) for t in enumerate_trees(n)]
-    cases += [(path_graph(n), path_strategy(n)) for n in range(3, 13)]
-    for g, strategy in cases:
-        for variant in (ZERO_STARTS, ONE_STARTS):
-            Sweep(g, strategy, variant, Objective.CORDIALITY)
-    assert hits > 0 and decisions > hits
+def test_parts_partition_the_vertices_and_pairings_cover_their_hosts():
+    # every strategy is a pairing over its territories: the parts split the
+    # vertex set, and each part's sets are disjoint and cover its hosts
+    cases = [(n, path_strategy(n)) for n in range(3, 41)]
+    cases += [(t.n, tree_strategy(t)) for n in range(1, 11) for t in enumerate_trees(n)]
+    cases += [(n, balance_maximizer_strategy(n)) for n in range(2, 17)]
+    for n, strategy in cases:
+        hosts = [v for part_hosts, _ in strategy.parts for v in part_hosts]
+        assert sorted(hosts) == list(range(n)), strategy.provenance
+        for part_hosts, name in strategy.parts:
+            sets = [{part_hosts[p - 1] for p in pair if p <= len(part_hosts)}
+                    for pair in _PAIRINGS[name]]
+            assert sum(map(len, sets)) == len(set().union(*sets)), (part_hosts, name)
+            assert set().union(*sets) == set(part_hosts), (part_hosts, name)
 
 
 # -- harness behavior ---------------------------------------------------------
