@@ -27,14 +27,13 @@ come from ``graphs.component`` and ``graphs.path_walk``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, component, iter_bits, path_walk, vertex_mask
 from .trees import NonTreeError
 
 
-@dataclass(frozen=True)
-class BranchDecomposition:
+class BranchDecomposition(NamedTuple):
     case_id: int
     branch_mask: int  # S = B minus v
     remainder_mask: int  # T', includes v

@@ -21,15 +21,17 @@ command imports what it uses in its own body: ``verify`` the fixtures of
 ``cordiality.verify`` (with the strategy harness, the strategies, tree
 enumeration and the Maker-Breaker solver), ``mb`` the Maker-Breaker solver,
 ``table`` the path bound, ``trees`` and the ``trees:``/``prufer:`` specs the
-tree module, and ``solve --jobs`` above 1 ``multiprocessing``.
+tree module, and ``solve --jobs`` above 1 ``multiprocessing``.  The records
+are named tuples and ``Graph`` a slotted class, so no command loads
+``dataclasses`` (nor the ``inspect``, ``ast`` and ``dis`` it pulls in);
+``csv`` is loaded only for csv output and ``random`` only by
+``probe-balance``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import random
 import sys
 from functools import partial
 
@@ -121,6 +123,8 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
     # records of different fixtures carry different keys
     fields = list(dict.fromkeys(key for record in records for key in record))
     if fmt == "csv":
+        import csv
+
         writer = csv.DictWriter(out, fieldnames=fields)
         writer.writeheader()
         for record in records:
@@ -217,6 +221,8 @@ def cmd_verify(args, out) -> int:
 def cmd_probe_balance(args, out) -> int:
     if args.max_n > DEFAULT_MAX_N:  # refuse before sampling any graph
         raise SolverCapError(f"probe-balance supports --max-n up to {DEFAULT_MAX_N}")
+    import random
+
     rng = random.Random(args.seed)
     records = []
     for index in range(args.count):

@@ -21,7 +21,6 @@ int (not a bool), or ``PASS`` (None) for a pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
@@ -42,16 +41,26 @@ class Objective(Enum):
     BALANCE = "balance"
 
 
-@dataclass(frozen=True)
-class Variant:
+class _VariantFields(NamedTuple):
     starter: Player
     pass_budget: int = 0
 
-    def __post_init__(self) -> None:
-        if self.pass_budget not in (0, 1):
+
+class Variant(_VariantFields):
+    """Who starts, and how many passes the one player holds (0 or 1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, starter: Player, pass_budget: int = 0) -> Variant:
+        if pass_budget not in (0, 1):
             raise ValueError("pass budget must be 0 or 1")
-        if self.pass_budget and self.starter is not Player.ONE:
+        if pass_budget and starter is not Player.ONE:
             raise ValueError("only the one player may hold a pass")
+        return super().__new__(cls, starter, pass_budget)
+
+    @classmethod
+    def _make(cls, iterable) -> Variant:  # ``_replace`` builds through this: check it too
+        return cls(*iterable)
 
     @property
     def code(self) -> str:

@@ -11,9 +11,10 @@ zero side and the rest, for the signed score 2*cut - |E|.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    import random
 
 
 class GraphError(ValueError):
@@ -29,19 +30,44 @@ MAX_CONNECT_DRAWS = 100_000
 MAX_VERTICES = 10_000
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     ``edges`` is a sorted tuple of (u, v) pairs with u < v, duplicates
     collapsed.  ``adj`` holds one neighbor bitmask per vertex and is fully
-    determined by ``edges``.  Instances are immutable and safe to share
-    across workers.
+    determined by ``edges``, so equality and hashing read ``(n, edges)``.
+    Instances are immutable and safe to share across workers; ``__reduce__``
+    is what pickles one for a pool.
+
+    A slotted class rather than a named tuple: the branching, tree
+    enumeration and flood-fill loops read ``g.adj`` over and over, and a
+    slot is read about twice as fast as a named-tuple field.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    adj: tuple[int, ...]
+    __slots__ = ("n", "edges", "adj")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...], adj: tuple[int, ...]):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "edges", edges)
+        init(self, "adj", adj)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Graph is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges, self.adj)
 
     @property
     def edge_count(self) -> int:

@@ -17,7 +17,7 @@ rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .game import Objective, Player, Variant
 from .graphs import Graph, cut_size_of_mask, iter_bits
@@ -27,8 +27,7 @@ FAMILY_MAX_N = 20
 MB_MAX_N = 14
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(NamedTuple):
     """A family of vertex subsets of 0..ground-1 as vertex masks, each
     ordered by its sorted vertex list (the export order)."""
 

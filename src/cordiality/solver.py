@@ -51,7 +51,7 @@ legal move, so lines stay the lowest-index optimal ones.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .game import (
     Move,
@@ -102,8 +102,7 @@ class SolverCapError(ValueError):
     """Instance exceeds the configured hard cap."""
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     value: int
     nodes: int  # positions searched through the table; closed-form endgames are not counted
     principal_line: list[Move]

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -233,7 +232,7 @@ def test_verify_failing_value_record_alone_exits_one(monkeypatch, fixture, name)
         got = original(g, variant, objective, **kwargs)
         if (emit_graph6(g), variant.code) != (emit_graph6(path_graph(4)), "I"):
             return got
-        return dataclasses.replace(got, value=got.value + 2) if name == "solve" else got + 2
+        return got._replace(value=got.value + 2) if name == "solve" else got + 2
 
     monkeypatch.setattr(module, name, off_on_p4)
     code, text = run_cli(["verify", fixture, "--max-n", "5"])

@@ -9,6 +9,8 @@ from cordiality import (
     Player,
     ONE_STARTS,
     ONE_STARTS_WITH_PASS,
+    VARIANT_CODES,
+    Variant,
     ZERO_STARTS,
     apply_move,
     is_legal,
@@ -85,6 +87,21 @@ def test_moves_are_vertices_and_states_frozen():
             apply_move(state, move)
     with pytest.raises(AttributeError):
         state.zero_mask = 1
+
+
+def test_variants_check_their_pass_budget():
+    with pytest.raises(ValueError, match="0 or 1"):
+        Variant(Player.ONE, 2)
+    with pytest.raises(ValueError, match="only the one player"):
+        Variant(Player.ZERO, 1)
+    with pytest.raises(ValueError, match="only the one player"):
+        ZERO_STARTS._replace(pass_budget=1)
+    assert ONE_STARTS._replace(pass_budget=1) == ONE_STARTS_WITH_PASS
+    assert Variant(Player.ONE, 1) == ONE_STARTS_WITH_PASS
+    assert Variant(Player.ZERO) == ZERO_STARTS
+    assert {v.code: v for v in (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)} == VARIANT_CODES
+    with pytest.raises(AttributeError):
+        ZERO_STARTS.pass_budget = 1
 
 
 def test_terminal_values():

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import networkx as nx
@@ -25,6 +26,28 @@ def test_path_graph_shapes():
     p6 = path_graph(6)
     assert p6.n == 6 and p6.edge_count == 5
     assert path_graph(0).n == 0 and path_graph(0).edge_count == 0
+
+
+def test_graphs_compare_hash_and_pickle_by_their_edges():
+    a, b = path_graph(5), path_graph(5)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert path_graph(4) != path_graph(5)
+    assert from_edges(3, [(0, 1)]) != from_edges(3, [(1, 2)])
+    # the --jobs pool pickles each input graph to its worker
+    for g in (a, star_graph(6), spider_graph([1, 2, 3]), path_graph(0)):
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.adj == g.adj and hash(copy) == hash(g)
+
+
+def test_graphs_are_immutable():
+    g = path_graph(4)
+    for field in ("n", "edges", "adj", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(g, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(g, field)
+    assert g == path_graph(4) and g.adj == path_graph(4).adj
 
 
 def test_from_edges_validation_and_dedup():

@@ -36,7 +36,7 @@ PUBLIC_NAMES = [
 OFF_THE_SOLVE_PATH = {
     f"cordiality.{name}"
     for name in ("harness", "strategies", "branching", "makerbreaker", "oracle", "trees", "verify")
-} | {"multiprocessing"}
+} | {"multiprocessing", "dataclasses", "inspect", "csv"}
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -47,10 +47,20 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
                           env=env, check=True, timeout=60)
 
 
+def output_and_loaded(code: str) -> tuple[str, set[str]]:
+    """What a fresh interpreter prints running ``code``, and the modules it then holds."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    output, _, modules = run_python("-c", script).stdout.rstrip("\n").rpartition("\n")
+    return output, set(json.loads(modules))
+
+
 def loaded_by(code: str) -> set[str]:
     """The modules a fresh interpreter holds after running ``code``."""
-    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
-    return set(json.loads(run_python("-c", script).stdout.splitlines()[-1]))
+    return output_and_loaded(code)[1]
+
+
+def main_run(argv: list[str]) -> str:
+    return f"import cordiality.cli\nassert cordiality.cli.main({argv!r}) == 0"
 
 
 def test_package_import_loads_no_submodule():
@@ -65,9 +75,27 @@ def test_solve_loads_only_the_solver_path(tmp_path):
     before = loaded_by("")
     for argv in (["solve", "--graph", "path:6"],
                  ["solve", "--file", str(g6), "--objective", "balance"]):
-        loaded = loaded_by(f"import cordiality.cli\nassert cordiality.cli.main({argv!r}) == 0")
+        loaded = loaded_by(main_run(argv))
         assert {"cordiality.solver", "cordiality.graph6"} <= loaded, argv
         assert sorted((loaded - before) & OFF_THE_SOLVE_PATH) == [], argv
+
+
+def test_no_command_loads_dataclasses_and_only_csv_output_loads_csv():
+    # the records are named tuples and Graph a slotted class, so no command
+    # pays for ``dataclasses`` and the ``inspect``/``ast``/``dis`` it imports
+    before = loaded_by("")
+    for argv in (["verify", "all", "--max-n", "4"],
+                 ["mb", "--graph", "path:4", "--family-k", "1"],
+                 ["trees", "5"]):
+        output, loaded = output_and_loaded(main_run(argv))
+        assert output, argv
+        assert "cordiality.graphs" in loaded, argv
+        assert sorted((loaded - before) & {"dataclasses", "inspect", "csv"}) == [], argv
+    output, loaded = output_and_loaded(main_run(["table", "--max-n", "4", "--format", "csv"]))
+    assert "csv" in loaded
+    assert "dataclasses" not in loaded - before
+    assert output.splitlines()[0] == "n,cg,cg_i,cg_ip,bg,path_bound,bound_ok,parity_ok,cg_ge_bg"
+    assert len(output.splitlines()) == 3  # the header and the rows for n = 3 and 4
 
 
 def test_run_as_main_module_executes_cli_once():
