@@ -9,11 +9,14 @@ Subcommands
     trees          list unlabeled trees of a given order as graph6
 
 Exit codes: 0 success / all pass, 1 verification failure, 2 input error,
-3 resource refusal (graph above the solver's hard cap without --force, or
-above a Maker-Breaker cap).  ``verify`` checks its ``--max-n`` against every
-selected fixture's range, and ``table`` and ``probe-balance`` against the
-solver's cap, before doing any work.  A graph above ``MAX_VERTICES`` is an input
-error, refused before it is built.
+3 resource refusal (graph above the solver's hard cap without --force, with
+more vertices than the interpreter's recursion limit lets the search reach,
+or above a Maker-Breaker cap), 141 output closed by its reader (``| head``):
+the command stops quietly, with the code of a process killed by SIGPIPE.
+``verify`` checks its ``--max-n`` against every selected fixture's range,
+and ``table`` and ``probe-balance`` against the solver's cap, before doing
+any work.  A graph above ``MAX_VERTICES`` is an input error, refused before
+it is built.
 
 Module loading follows the command.  At import this module loads only what
 ``solve`` runs: ``graphs``, ``game``, ``graph6`` and ``solver``.  Each other
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -46,12 +50,20 @@ from .graphs import (
     spider_graph,
     star_graph,
 )
-from .solver import DEFAULT_MAX_N, GAME_NUMBERS, SolverCapError, game_number, solve
+from .solver import (
+    DEFAULT_MAX_N,
+    GAME_NUMBERS,
+    RECURSION_HEADROOM,
+    SolverCapError,
+    game_number,
+    solve,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP_REFUSED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 class InputError(ValueError):
@@ -306,8 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--jobs", type=positive_int, default=1,
                          help="spread the input graphs across this many processes")
     p_solve.add_argument("--force", dest="force", action="store_true",
-                         help=f"lift the vertex-count cap to {MAX_VERTICES} for this run; the "
-                              "search has no node or time budget, so a large graph may not finish")
+                         help=f"lift the vertex-count cap to {MAX_VERTICES} for this run, or to the "
+                              f"interpreter's recursion limit less {RECURSION_HEADROOM} if that is "
+                              "lower; the search has no node or time budget, so a large graph may "
+                              "not finish")
     p_solve.set_defaults(func=cmd_solve)
 
     p_table = sub.add_parser("table", help="value table for paths")
@@ -361,7 +375,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 
 def entry() -> None:  # console-script hook
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed reader shows here, not at exit
+    except BrokenPipeError:
+        # point stdout at the null device, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,18 @@
-"""Exact game values by memoized minimax with alpha-beta search.
+"""Exact game values by memoized minimax, probed by one-bound tests.
 
 The search runs on bitmask positions keyed by (zero set, one set, passes);
-whose turn it is follows from the counts.  The transposition table stores
-integer value bounds per position, so null-window probing, re-searching,
-and alpha-beta all stay exact.  Values share the parity of |E|, so one
-probe loop narrows an interval by null windows of width two: the first at
-the parity floor |E| % 2, where most values lie, then just below each new
-upper bound or at each new lower bound (MTD(f)-style driving).  The root
-value runs it from the least value to |E|.  The principal-line descent
-carries that value down: it plays through ``game.py``'s moves, turn order
-and pass rule, and at each ply runs the loop on each child, in tie-break
-order, only until the child is shown to keep the value or to miss it.
+whose turn it is follows from the counts.  It tests a position's value v
+against one bound gamma and fails soft, as MTD(f) does: a result g <= gamma
+proves v <= g, and g > gamma proves v >= g.  The transposition table stores
+value bounds per position, and a probe returns a stored bound that settles
+its test.  Values share the parity of |E|, so one probe loop narrows an
+interval by tests on that grid: the first at the parity floor |E| % 2, where
+most values lie, then just below each new upper bound or at each new lower
+bound.  The root value runs it from the least value to |E|.  The
+principal-line descent carries that value down: it plays through
+``game.py``'s moves, turn order and pass rule, and at each ply runs the
+loop on each child, in tie-break order, only until the child is shown to
+keep the value or to miss it.
 The table capacity changes only the work, never the value: a table that
 reaches ``TABLE_CAPACITY`` entries is cleared and refilled, so the search
 keeps caching its newest positions (capacity 0 keeps one entry at a time).
@@ -50,6 +52,7 @@ legal move, so lines stay the lowest-index optimal ones.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from typing import NamedTuple
 
@@ -71,6 +74,9 @@ from .graphs import Graph, edges_between
 
 DEFAULT_MAX_N = 22
 TABLE_CAPACITY = 4_000_000
+# The search recurses once per ply: a graph may have the interpreter's
+# recursion limit less this many vertices, the frames left for its callers.
+RECURSION_HEADROOM = 100
 
 # On a path numbered in path order with at least this many vertices, a key
 # folds with its mirror image.  Measured on one pinned Xeon core, cg alone,
@@ -111,39 +117,30 @@ class SolveResult(NamedTuple):
 class _Searcher:
     def __init__(self, g: Graph, variant: Variant, objective: Objective):
         self.g = g
-        self.n = g.n
         self.full = g.full_mask
         self.variant = variant
-        self.objective = objective
-        self.cordiality = objective is Objective.CORDIALITY
         self.starter_is_zero = variant.starter is Player.ZERO
-        self.budget = variant.pass_budget
         self.edge_count = g.edge_count
+        cordiality = objective is Objective.CORDIALITY
         # the least value any position can have
-        self.floor = self.edge_count % 2 if self.cordiality else -self.edge_count
-        self.capacity = TABLE_CAPACITY
-        self.table: dict[int, int] = {}
-        self.reverse = self.n >= _REVERSAL_MIN_N and g.edges == tuple(
-            (v, v + 1) for v in range(self.n - 1)
-        )
+        self.floor = self.edge_count % 2 if cordiality else -self.edge_count
         self._nodes_cell = [0]
-        self._search, self.release = self._make_search()
+        self._search, self.release = self._make_search(cordiality)
 
     @property
     def nodes(self) -> int:
         return self._nodes_cell[0]
 
-    def _make_search(self):
+    def _make_search(self, cordiality: bool):
         # One closure with everything bound locally; this is the hot loop.
         # Returned with ``release``, which breaks its reference to itself.
-        n = self.n
-        full = self.full
-        adj = self.g.adj
+        g = self.g
+        n = g.n
+        adj = g.adj
         edge_count = self.edge_count
-        cordiality = self.cordiality
-        budget = self.budget
-        table = self.table
-        capacity = self.capacity
+        budget = self.variant.pass_budget
+        table: dict[int, int] = {}
+        capacity = TABLE_CAPACITY
         nodes_cell = self._nodes_cell
         # lower_twins[v]: the lower-numbered twins of v.  Twins have equal
         # open neighbourhoods (not adjacent) or equal closed ones (adjacent);
@@ -160,13 +157,13 @@ class _Searcher:
         twins = tuple((tw, ~(1 << v)) for v, tw in enumerate(lower_twins) if tw)
         move_bits = tuple((v, 1 << v) for v in range(n))
         static_order = tuple(
-            move_bits[v] for v in sorted(range(n), key=lambda v: (-self.g.degree(v), v))
+            move_bits[v] for v in sorted(range(n), key=lambda v: (-g.degree(v), v))
         )
         # cordiality keeps the static order at every position
         swing_min_free = n + 1 if cordiality else _SWING_MIN_FREE
         v_shift = n.bit_length()
         v_mask = (1 << v_shift) - 1
-        reverse = self.reverse
+        reverse = n >= _REVERSAL_MIN_N and g.edges == tuple((v, v + 1) for v in range(n - 1))
         if reverse:
             rev_bytes = (n + 7) // 8
             rev_shift = 8 * rev_bytes - n
@@ -197,8 +194,7 @@ class _Searcher:
             passes: int,
             zero_to_move: bool,
             cross: int,
-            alpha: int,
-            beta: int,
+            gamma: int,
         ) -> int:
             # cross = count of zero-one edges so far; at a full labeling the
             # signed score is 2*cross - |E|.
@@ -335,14 +331,11 @@ class _Searcher:
             if entry is not None:
                 lo = (entry >> _SHIFT) - _BIAS
                 hi = (entry & _MASK) - _BIAS
-                if lo == hi or lo >= beta:
+                # an exact entry, lo == hi, meets one of the two tests
+                if lo > gamma:
                     return lo
-                if hi <= alpha:
+                if hi <= gamma:
                     return hi
-                if alpha < lo:
-                    alpha = lo
-                if beta > hi:
-                    beta = hi
             else:
                 lo = -_BIAS + 1
                 hi = _BIAS - 1
@@ -369,48 +362,37 @@ class _Searcher:
                 order = static_order
             if zero_to_move:
                 g_val = _BIAS
-                b = beta
                 for v, bit in order:
                     if not movable & bit:
                         continue
                     inc = (adj[v] & one).bit_count()
                     value = search(zero | bit, one, free ^ bit, passes, False,
-                                   cross + inc, alpha, b)
+                                   cross + inc, gamma)
                     if value < g_val:
                         g_val = value
-                        if g_val <= alpha:
+                        if g_val <= gamma:
                             break
-                        if g_val < b:
-                            b = g_val
             else:
                 g_val = -_BIAS
-                a = alpha
-                cut = False
                 for v, bit in order:
                     if not movable & bit:
                         continue
                     inc = (adj[v] & zero).bit_count()
                     value = search(zero, one | bit, free ^ bit, passes, True,
-                                   cross + inc, a, beta)
+                                   cross + inc, gamma)
                     if value > g_val:
                         g_val = value
-                        if g_val >= beta:
-                            cut = True
+                        if g_val > gamma:
                             break
-                        if g_val > a:
-                            a = g_val
-                if can_pass and not cut:
-                    value = search(zero, one, free, passes + 1, True, cross, a, beta)
+                if can_pass and g_val <= gamma:
+                    value = search(zero, one, free, passes + 1, True, cross, gamma)
                     if value > g_val:
                         g_val = value
-            if g_val <= alpha:
-                if g_val < hi:
-                    hi = g_val
-            elif g_val >= beta:
-                if g_val > lo:
-                    lo = g_val
+            # lo <= gamma < hi here, so the new bound is the tighter one
+            if g_val <= gamma:
+                hi = g_val
             else:
-                lo = hi = g_val
+                lo = g_val
             if entry is None and len(table) >= capacity:
                 table.clear()
                 warn_capacity()
@@ -426,24 +408,32 @@ class _Searcher:
 
         return search, release
 
-    def bounds(
-        self, zero: int, one: int, passes: int, lo: int, hi: int, target: int | None = None
-    ) -> tuple[int, int]:
-        """Narrow ``[lo, hi]``, which must hold the position's value, by probes.
+    def probe(self, zero: int, one: int, passes: int, gamma: int) -> int:
+        """Test the position's value ``v`` against ``gamma``, failing soft.
 
-        ``(gamma, gamma + 2)`` is a null window on the parity grid, so each
-        probe returns a bound ``g`` with ``v <= g`` or ``v >= g``.  The loop
-        stops when ``lo == hi``, or as soon as ``target`` leaves ``[lo, hi]``.
+        A result ``g <= gamma`` proves ``v <= g``, and a result ``g > gamma``
+        proves ``v >= g``.
         """
         free = self.full & ~(zero | one)
         zero_to_move = self.starter_is_zero == (
             (zero.bit_count() + one.bit_count() + passes) % 2 == 0
         )
         cross = edges_between(self.g, zero, one)
-        gamma = max(lo, min(self.edge_count % 2, hi - 2))  # most values lie at the floor
+        return self._search(zero, one, free, passes, zero_to_move, cross, gamma)
+
+    def bounds(
+        self, zero: int, one: int, passes: int, lo: int, hi: int, target: int | None = None
+    ) -> tuple[int, int]:
+        """Narrow ``[lo, hi]``, which must hold the position's value, by probes.
+
+        Each probe tests a ``gamma`` on the parity grid of the values, so a
+        result ``g <= gamma`` is a new upper bound and any other a new lower
+        bound.  The loop stops when ``lo == hi``, or as soon as ``target``
+        leaves ``[lo, hi]``.
+        """
+        gamma = max(lo, min(self.edge_count % 2, hi - 2))
         while lo < hi:
-            g_val = self._search(zero, one, free, passes, zero_to_move, cross,
-                                 gamma, gamma + 2)
+            g_val = self.probe(zero, one, passes, gamma)
             if g_val <= gamma:
                 hi = max(g_val, lo)
                 gamma = hi - 2
@@ -501,7 +491,8 @@ def solve(
     Ties among optimal moves break toward the lowest vertex index, with a
     pass ranked after every label.  With ``line=False`` only the value is
     searched: the principal-line descent is skipped, and the line is empty.
-    ``max_n`` is the vertex cap; ``None`` means ``DEFAULT_MAX_N``.
+    ``max_n`` is the vertex cap; ``None`` means ``DEFAULT_MAX_N``.  A graph
+    past it, the table's edge range or the recursion limit is refused.
     """
     cap = DEFAULT_MAX_N if max_n is None else max_n
     if g.n > cap:
@@ -514,6 +505,12 @@ def solve(
         # "unknown" sentinels and a stored entry can be false
         raise SolverCapError(
             f"graph has {g.edge_count} edges, above the {_BIAS - 1} a table entry can hold"
+        )
+    depth_cap = sys.getrecursionlimit() - RECURSION_HEADROOM
+    if g.n > depth_cap:
+        raise SolverCapError(
+            f"graph has {g.n} vertices, above the {depth_cap} the search can recurse "
+            "through under the interpreter's recursion limit"
         )
     if g.n == 0:
         return SolveResult(value=0, nodes=0, principal_line=[])

@@ -2,12 +2,25 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from cordiality import cli, emit_graph6, enumerate_trees, path_graph, verify
+from cordiality import (
+    cli,
+    emit_graph6,
+    enumerate_trees,
+    path_graph,
+    prufer_decode,
+    star_graph,
+    verify,
+)
 from cordiality.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(args):
@@ -119,8 +132,23 @@ def test_removed_flags_are_input_errors(case):
 
 
 def test_bad_generator_spec_is_input_error():
-    code, _ = run_cli(["solve", "--graph", "dodecahedron:5"])
-    assert code == 2
+    for spec in ("dodecahedron:5", "prufer:9,9", "trees:x"):
+        code, _ = run_cli(["solve", "--graph", spec])
+        assert code == 2, spec
+
+
+def test_tree_specs_expand_in_process():
+    assert cli.make_graph("prufer:0,0,0") == [star_graph(5)]
+    assert cli.make_graph("prufer:1,2") == [prufer_decode([1, 2], 4)]
+    assert cli.make_graph("prufer:") == [path_graph(2)]
+    assert cli.make_graph("trees:6") == list(enumerate_trees(6))
+
+
+def test_unreadable_file_is_input_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.g6", tmp_path):
+        code, text = run_cli(["solve", "--file", str(path)])
+        assert (code, text) == (2, ""), path
+        assert f"cannot read {path}" in capsys.readouterr().err, path
 
 
 def test_malformed_graph6_file_is_input_error(tmp_path):
@@ -392,6 +420,36 @@ def test_force_refuses_graph_past_table_entry_range(tmp_path, monkeypatch):
     assert text == ""
 
 
+def test_force_refuses_graph_deeper_than_the_recursion_limit(tmp_path, monkeypatch, capsys):
+    import cordiality.solver
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(cordiality.solver, "_Searcher", no_search)
+    path = tmp_path / "sparse.txt"
+    path.write_text("0 1\n998 999\n")  # 1000 vertices and two edges
+    code, text = run_cli(["solve", "--force", "--edge-list", "--file", str(path)])
+    assert (code, text) == (3, "")
+    assert "1000 vertices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["trees", "10"], ["solve", "--graph", "trees:6"]])
+def test_output_closed_by_its_reader_exits_quietly(argv):
+    # the reader is gone before the command starts, as when ``| head`` has
+    # read all it wants: the command stops with 141, as SIGPIPE would stop it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "cordiality.cli", *argv], env=env,
+                                stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")
+
+
 def test_counts_and_orders_below_one_are_refused():
     for argv in (["probe-balance", "--count", "-3"],
                  ["probe-balance", "--count", "0"],
@@ -403,6 +461,13 @@ def test_counts_and_orders_below_one_are_refused():
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2, argv
+
+
+def test_probe_balance_takes_a_p_in_the_unit_interval():
+    for p in ("1", "0.25"):
+        code, text = run_cli(["probe-balance", "--p", p, "--count", "3", "--max-n", "6"])
+        assert code == 0, p
+        assert len(jsonl(text)) == 3, p
 
 
 def test_probe_balance_p_outside_unit_interval_is_refused(monkeypatch):

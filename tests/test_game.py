@@ -70,10 +70,16 @@ def test_apply_move_validation():
     assert state.zero_mask == vertex_mask({1})
     with pytest.raises(IllegalMoveError):
         apply_move(state, 1)
-    with pytest.raises(IllegalMoveError):
-        apply_move(state, PASS)  # zero player may not pass
+    with pytest.raises(IllegalMoveError, match="no pass budget"):
+        apply_move(state, PASS)  # the one player moves, with no pass in this variant
     with pytest.raises(IllegalMoveError):
         apply_move(state, 7)
+    # the zero player may not pass, even in a variant with a pass left
+    state = apply_move(new_game(path_graph(3), ONE_STARTS_WITH_PASS), 0)
+    with pytest.raises(IllegalMoveError, match="only the one player may pass"):
+        apply_move(state, PASS)
+    with pytest.raises(IllegalMoveError, match="game is over"):
+        apply_move(replay(path_graph(3), ZERO_STARTS, [0, 1, 2]), 0)
 
 
 def test_moves_are_vertices_and_states_frozen():

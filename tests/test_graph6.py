@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cordiality import (
     Graph6Error,
+    GraphError,
     emit_graph6,
     enumerate_trees,
     from_edges,
@@ -61,6 +62,12 @@ def test_parse_errors_carry_offsets():
         parse_graph6(emit_graph6(path_graph(5)) + "AA")  # trailing data
     with pytest.raises(Graph6Error):
         parse_graph6("")
+    with pytest.raises(Graph6Error, match="8-byte vertex counts") as err:
+        parse_graph6("~~??????")
+    assert err.value.offset == 1
+    with pytest.raises(Graph6Error, match="truncated vertex count") as err:
+        parse_graph6("~?")
+    assert err.value.offset == 2
 
 
 def test_file_errors_name_the_line_and_the_byte_once():
@@ -83,8 +90,12 @@ def test_edge_list_parsing():
     assert g.n == 4
     assert g.edges == ((0, 1), (1, 2), (1, 3))
     assert parse_edge_list("").n == 0
-    with pytest.raises(Exception):
+    with pytest.raises(GraphError, match="expected 'u v'"):
         parse_edge_list("0 1 2")
+    with pytest.raises(GraphError, match="line 2: non-integer endpoint"):
+        parse_edge_list("0 1\n1 x\n")
+    with pytest.raises(GraphError, match="line 1: negative vertex index"):
+        parse_edge_list("0 -1\n")
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import random
+import sys
 import warnings
 
 import pytest
@@ -27,7 +28,7 @@ from cordiality import (
     terminal_value,
 )
 from cordiality.game import replay
-from cordiality.solver import TABLE_CAPACITY, _Searcher
+from cordiality.solver import RECURSION_HEADROOM, TABLE_CAPACITY, _Searcher
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
 
@@ -192,6 +193,24 @@ def test_edge_cap_matches_table_entry_range(monkeypatch):
         solve(from_edges(33, clique[:512]), ZERO_STARTS, Objective.CORDIALITY, max_n=10_000)
 
 
+def test_graphs_deeper_than_the_recursion_limit_allows_are_refused():
+    # K32's vertices are all twins, so its search is one line of plies as
+    # deep as the graph, and a pass in I+pass adds one more; without a pass
+    # each player labels 16 vertices, 256 of the 496 edges are cut, and the
+    # one player gains nothing by passing: the value is 2 * 256 - 496 = 16
+    clique = from_edges(32, [(u, v) for v in range(32) for u in range(v)])
+    sparse = from_edges(33, [(0, 1)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(32 + RECURSION_HEADROOM)
+    try:
+        for objective in (Objective.CORDIALITY, Objective.BALANCE):
+            assert solve(clique, ONE_STARTS_WITH_PASS, objective, max_n=32).value == 16
+        with pytest.raises(SolverCapError, match="33 vertices, above the 32"):
+            solve(sparse, ZERO_STARTS, Objective.CORDIALITY, max_n=33)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def _reachable_positions(g, variant, free_counts):
     """Every reachable state whose count of free vertices is in ``free_counts``."""
     start = new_game(g, variant)
@@ -246,6 +265,28 @@ def test_endgame_closed_form_matches_plain_recursion():
     assert one_may_pass_at_three > 0
     assert pass_left_at_four > 0
     assert below_first_window > 0
+
+
+def test_probe_bound_holds_at_every_gamma():
+    # the one-bound test fails soft: g <= gamma proves v <= g, and g > gamma
+    # proves v >= g, at any integer gamma, on or off the parity grid of the
+    # values, with one table shared by every probe of a game
+    rng = random.Random(4242)
+    graphs = [tree for n in range(1, 8) for tree in enumerate_trees(n)]
+    graphs += [random_connected_graph(8, 0.5, rng) for _ in range(3)]
+    for g in graphs:
+        for variant in ALL_VARIANTS:
+            states = _reachable_positions(g, variant, range(g.n + 1))
+            for objective in (Objective.CORDIALITY, Objective.BALANCE):
+                searcher = _Searcher(g, variant, objective)
+                reference = position_values(g, variant, objective)
+                for gamma in range(searcher.floor - 1, g.edge_count + 2):
+                    for _, _, zero, one, passes in states:
+                        value = reference(zero, one, passes)
+                        got = searcher.probe(zero, one, passes, gamma)
+                        assert value <= got if got <= gamma else value >= got, (
+                            g.edges, variant.code, objective.value, zero, one, passes, gamma
+                        )
 
 
 def _reference_line(g, variant, objective):
