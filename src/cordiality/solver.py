@@ -5,14 +5,14 @@ whose turn it is follows from the counts.  It tests a position's value v
 against one bound gamma and fails soft, as MTD(f) does: a result g <= gamma
 proves v <= g, and g > gamma proves v >= g.  The transposition table stores
 value bounds per position, and a probe returns a stored bound that settles
-its test.  Values share the parity of |E|, so one probe loop narrows an
-interval by tests on that grid: the first at the parity floor |E| % 2, where
-most values lie, then just below each new upper bound or at each new lower
-bound.  The root value runs it from the least value to |E|.  The
-principal-line descent carries that value down: it plays through
-``game.py``'s moves, turn order and pass rule, and at each ply runs the
-loop on each child, in tie-break order, only until the child is shown to
-keep the value or to miss it.
+its test.  Values share the parity of |E|, so the root value is found by
+one probe loop that narrows the interval from the least value to |E| by
+tests on that grid: the first at the parity floor |E| % 2, where most
+values lie, then just below each new upper bound or at each new lower
+bound.  The principal-line descent carries that value down: it plays
+through ``game.py``'s moves, turn order and pass rule, and at each ply
+probes each child, in tie-break order, once: all of the mover's children
+lie on one side of the value, so one test shows whether a child keeps it.
 The table capacity changes only the work, never the value: a table that
 reaches ``TABLE_CAPACITY`` entries is cleared and refilled, so the search
 keeps caching its newest positions (capacity 0 keeps one entry at a time).
@@ -412,7 +412,8 @@ class _Searcher:
         """Test the position's value ``v`` against ``gamma``, failing soft.
 
         A result ``g <= gamma`` proves ``v <= g``, and a result ``g > gamma``
-        proves ``v >= g``.
+        proves ``v >= g``.  This and ``state_value`` are the searcher's only
+        entries; the principal-line descent calls it once per child it tries.
         """
         free = self.full & ~(zero | one)
         zero_to_move = self.starter_is_zero == (
@@ -421,17 +422,15 @@ class _Searcher:
         cross = edges_between(self.g, zero, one)
         return self._search(zero, one, free, passes, zero_to_move, cross, gamma)
 
-    def bounds(
-        self, zero: int, one: int, passes: int, lo: int, hi: int, target: int | None = None
-    ) -> tuple[int, int]:
-        """Narrow ``[lo, hi]``, which must hold the position's value, by probes.
+    def state_value(self, zero: int, one: int, passes: int) -> int:
+        """Exact value of a position, by probes on the parity grid of the values.
 
-        Each probe tests a ``gamma`` on the parity grid of the values, so a
-        result ``g <= gamma`` is a new upper bound and any other a new lower
-        bound.  The loop stops when ``lo == hi``, or as soon as ``target``
-        leaves ``[lo, hi]``.
+        ``[lo, hi]`` starts at ``[floor, |E|]``.  A result ``g <= gamma`` is a
+        new upper bound and any other a new lower bound, so the next test is
+        just below the upper bound or at the lower bound until they meet.
         """
-        gamma = max(lo, min(self.edge_count % 2, hi - 2))
+        lo, hi = self.floor, self.edge_count
+        gamma = max(lo, min(hi % 2, hi - 2))  # the parity floor |E| % 2 first
         while lo < hi:
             g_val = self.probe(zero, one, passes, gamma)
             if g_val <= gamma:
@@ -440,13 +439,7 @@ class _Searcher:
             else:
                 lo = g_val
                 gamma = lo
-            if target is not None and not lo <= target <= hi:
-                break
-        return lo, hi
-
-    def state_value(self, zero: int, one: int, passes: int) -> int:
-        """Exact value of a position."""
-        return self.bounds(zero, one, passes, self.floor, self.edge_count)[0]
+        return lo
 
 
 def _descend_line(searcher: _Searcher, value: int) -> list[Move]:
@@ -455,21 +448,23 @@ def _descend_line(searcher: _Searcher, value: int) -> list[Move]:
     The game rules order the tries: ``legal_moves`` gives ascending vertices
     with any pass last.  The mover's children all lie on one side of the
     value: at or above it when the zero player moves, at or below it when
-    the one player does.  So a child keeps the value iff its value is proven
-    to be neither above nor below it, and the probes stop as soon as either
-    is shown.
+    the one player does.  So one probe settles each child: a zero player's
+    child keeps the value iff it is not above it, ``probe(value) <= value``,
+    and a one player's child iff it is not below it, ``probe(value - 2) >
+    value - 2``.  When the value is the mover's extreme, ``|E|`` or the
+    floor, every child keeps it and none is probed.
     """
     state = new_game(searcher.g, searcher.variant)
     line: list[Move] = []
     while not is_terminal(state):
-        if to_move(state) is Player.ZERO:
-            lo, hi = value, searcher.edge_count
-        else:
-            lo, hi = searcher.floor, value
+        zero_moves = to_move(state) is Player.ZERO
+        gamma = value if zero_moves else value - 2
+        every_child_keeps = value == (searcher.edge_count if zero_moves else searcher.floor)
         for move in legal_moves(state):
             child = apply_move(state, move)
-            if searcher.bounds(child.zero_mask, child.one_mask, child.passes_used,
-                               lo, hi, target=value) == (value, value):
+            if every_child_keeps or zero_moves == (
+                searcher.probe(child.zero_mask, child.one_mask, child.passes_used, gamma) <= gamma
+            ):
                 line.append(move)
                 state = child
                 break
@@ -512,8 +507,6 @@ def solve(
             f"graph has {g.n} vertices, above the {depth_cap} the search can recurse "
             "through under the interpreter's recursion limit"
         )
-    if g.n == 0:
-        return SolveResult(value=0, nodes=0, principal_line=[])
     searcher = _Searcher(g, variant, objective)
     value = searcher.state_value(0, 0, 0)
     moves = _descend_line(searcher, value) if line else []

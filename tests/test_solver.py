@@ -28,7 +28,13 @@ from cordiality import (
     terminal_value,
 )
 from cordiality.game import replay
-from cordiality.solver import RECURSION_HEADROOM, TABLE_CAPACITY, _Searcher
+from cordiality.solver import (
+    RECURSION_HEADROOM,
+    TABLE_CAPACITY,
+    SolveResult,
+    _descend_line,
+    _Searcher,
+)
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
 
@@ -62,7 +68,12 @@ def test_star_pinned_by_reference():
 
 def test_trivial_values():
     assert solve(path_graph(2), ZERO_STARTS, Objective.BALANCE).value == 1
-    assert solve(path_graph(0), ZERO_STARTS, Objective.CORDIALITY).value == 0
+    # the empty graph takes no special case: the root loop starts at
+    # lo == hi == 0 and probes nothing, and the start is already terminal
+    for variant in ALL_VARIANTS:
+        for objective in (Objective.CORDIALITY, Objective.BALANCE):
+            for line in (True, False):
+                assert solve(path_graph(0), variant, objective, line=line) == SolveResult(0, 0, [])
     assert brute_force_value(path_graph(1), ONE_STARTS, Objective.BALANCE) == 0
 
 
@@ -136,6 +147,12 @@ def test_balance_node_count_is_pinned():
     graphs = [random_connected_graph(n, 0.4, rng) for n in (8, 9, 10) for _ in range(4)]
     total = sum(solve(g, ZERO_STARTS, Objective.BALANCE, line=True).nodes for g in graphs)
     assert total == 3708
+    # The principal-line descent's work: probing each child until it was
+    # shown to keep or miss the value expanded 76085 nodes here; one probe
+    # per child expands 62800.
+    paths = [path_graph(n) for n in range(3, 14)]
+    total = sum(solve(g, ONE_STARTS_WITH_PASS, Objective.BALANCE).nodes for g in paths)
+    assert total == 62800
 
 
 def test_star_node_count_is_pinned():
@@ -287,6 +304,42 @@ def test_probe_bound_holds_at_every_gamma():
                         assert value <= got if got <= gamma else value >= got, (
                             g.edges, variant.code, objective.value, zero, one, passes, gamma
                         )
+
+
+def test_line_descent_probes_each_child_at_most_once(monkeypatch):
+    # probes[i]: the probes the descent makes on the i-th child it tries
+    probes = []
+    apply = cordiality.solver.apply_move
+
+    def counting_apply(state, move):
+        probes.append(0)
+        return apply(state, move)
+
+    monkeypatch.setattr(cordiality.solver, "apply_move", counting_apply)
+
+    def descent_probes(g, variant, objective):
+        searcher = _Searcher(g, variant, objective)
+        value = searcher.state_value(0, 0, 0)
+        probe = searcher.probe
+
+        def counting_probe(*args):
+            probes[-1] += 1
+            return probe(*args)
+
+        searcher.probe = counting_probe
+        probes.clear()
+        _descend_line(searcher, value)
+        return list(probes)
+
+    for n in range(3, 15):
+        counts = descent_probes(path_graph(n), ONE_STARTS_WITH_PASS, Objective.BALANCE)
+        assert counts and max(counts) <= 1, n
+    # every ply's value is the mover's extreme, |E| or the floor, so every
+    # child keeps it and none is probed
+    for variant in ALL_VARIANTS:
+        assert set(descent_probes(path_graph(2), variant, Objective.CORDIALITY)) == {0}
+        for objective in (Objective.CORDIALITY, Objective.BALANCE):
+            assert set(descent_probes(from_edges(5, []), variant, objective)) == {0}
 
 
 def _reference_line(g, variant, objective):
