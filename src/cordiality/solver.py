@@ -16,10 +16,13 @@ lie on one side of the value, so one test shows whether a child keeps it.
 The table capacity changes only the work, never the value: a table that
 reaches ``TABLE_CAPACITY`` entries is cleared and refilled, so the search
 keeps caching its newest positions (capacity 0 keeps one entry at a time).
-A position with two free vertices, with three and a mover that cannot
-pass, or with four and no pass left, is valued in closed form: it is never
-probed, stored or counted, so ``SolveResult.nodes`` counts only the
-positions searched through the table.  On a path numbered in path order
+A position with two free vertices, or with three and a mover that cannot
+pass, is valued in closed form: it is never probed, stored or counted, so
+``SolveResult.nodes`` counts only the positions that go through the table.
+A position with five free vertices and no pass left does: once its probe
+misses, it is counted, valued in closed form from its ten pair scores and
+stored as an exact entry.  Four-free positions are searched, down to the
+closed forms at two and three free.  On a path numbered in path order
 with at least ``_REVERSAL_MIN_N`` vertices, a position and its mirror
 image share one table key.
 
@@ -89,11 +92,14 @@ _REVERSAL_MIN_N = 15
 # Under balance, a position with at least this many free vertices tries the
 # mover's labels in ascending order of swing (see _Searcher._make_search).
 # Solving the 160 graphs of perfbench's random-batch corpus (seed 1) with
-# lines, with four-free positions in closed form: swing order from five
-# free vertices expands 82 467 nodes, from six 82 757 and from seven
-# 94 977, and from six is the fastest on a 2 GHz Xeon core.  Below six the
-# few saved nodes do not pay for the sort, since the children of a
-# five-free position are closed-form endgames unless a pass is left.
+# lines, with five-free positions in closed form when no pass is left:
+# swing order from six free vertices expands 81 336 nodes and from seven
+# 92 117; from five it expands as many as from six, since a five-free
+# position is searched only with a pass left.  From seven is 3-6 % faster
+# there on a 2 GHz Xeon core, as a six-free position's children are
+# closed-form table entries, but 2 % slower on the trees to 10 vertices and
+# 9 % slower on the paths to 14 (balance, every variant), where it expands
+# 10 % and 20 % more nodes.
 _SWING_MIN_FREE = 6
 
 _REV8 = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -110,7 +116,7 @@ class SolverCapError(ValueError):
 
 class SolveResult(NamedTuple):
     value: int
-    nodes: int  # positions searched through the table; closed-form endgames are not counted
+    nodes: int  # positions through the table; two- and three-free closed forms are not counted
     principal_line: list[Move]
 
 
@@ -156,9 +162,8 @@ class _Searcher:
         # (lower twins, mask without v) of each vertex with a lower twin
         twins = tuple((tw, ~(1 << v)) for v, tw in enumerate(lower_twins) if tw)
         move_bits = tuple((v, 1 << v) for v in range(n))
-        static_order = tuple(
-            move_bits[v] for v in sorted(range(n), key=lambda v: (-g.degree(v), v))
-        )
+        deg = tuple(a.bit_count() for a in adj)
+        static_order = tuple(move_bits[v] for v in sorted(range(n), key=lambda v: (-deg[v], v)))
         # cordiality keeps the static order at every position
         swing_min_free = n + 1 if cordiality else _SWING_MIN_FREE
         v_shift = n.bit_length()
@@ -208,77 +213,6 @@ class _Searcher:
                 return abs(d) if cordiality else d
             can_pass = not zero_to_move and passes < budget
             count = free.bit_count()
-            if count == 4 and passes >= budget:
-                # Closed-form endgame with no pass left: the mover labels two
-                # free vertices, x and then y, and the opponent the other two,
-                # so the score depends on the pair {x, y} alone.  After x the
-                # opponent faces a three-free position, worth the median of
-                # x's three pair scores (below), and the mover picks x.
-                if zero_to_move:
-                    mine = zero
-                    theirs = one | free
-                else:
-                    mine = one
-                    theirs = zero | free
-                a_bit = free & -free
-                rest = free ^ a_bit
-                b_bit = rest & -rest
-                rest ^= b_bit
-                c_bit = rest & -rest
-                d_bit = rest ^ c_bit
-                a_adj = adj[a_bit.bit_length() - 1]
-                b_adj = adj[b_bit.bit_length() - 1]
-                c_adj = adj[c_bit.bit_length() - 1]
-                d_adj = adj[d_bit.bit_length() - 1]
-                a_m = (a_adj & mine).bit_count()
-                b_m = (b_adj & mine).bit_count()
-                c_m = (c_adj & mine).bit_count()
-                d_m = (d_adj & mine).bit_count()
-                # the signed score with every free vertex the opponent's
-                # (theirs), and what moving u to the mover adds to it
-                base = 2 * (cross + a_m + b_m + c_m + d_m) - edge_count
-                t_a = 2 * ((a_adj & theirs).bit_count() - a_m)
-                t_b = 2 * ((b_adj & theirs).bit_count() - b_m)
-                t_c = 2 * ((c_adj & theirs).bit_count() - c_m)
-                t_d = 2 * ((d_adj & theirs).bit_count() - d_m)
-                # the score when the mover holds {x, y}: an edge x ~ y is not cut
-                s_ab = base + t_a + t_b - (4 if a_adj & b_bit else 0)
-                s_ac = base + t_a + t_c - (4 if a_adj & c_bit else 0)
-                s_ad = base + t_a + t_d - (4 if a_adj & d_bit else 0)
-                s_bc = base + t_b + t_c - (4 if b_adj & c_bit else 0)
-                s_bd = base + t_b + t_d - (4 if b_adj & d_bit else 0)
-                s_cd = base + t_c + t_d - (4 if c_adj & d_bit else 0)
-                if cordiality:
-                    s_ab, s_ac, s_ad = abs(s_ab), abs(s_ac), abs(s_ad)
-                    s_bc, s_bd, s_cd = abs(s_bc), abs(s_bd), abs(s_cd)
-                # m_x: the median of x's three pair scores
-                if s_ab < s_ac:
-                    m_a = s_ab if s_ad <= s_ab else s_ad if s_ad < s_ac else s_ac
-                else:
-                    m_a = s_ac if s_ad <= s_ac else s_ad if s_ad < s_ab else s_ab
-                if s_ab < s_bc:
-                    m_b = s_ab if s_bd <= s_ab else s_bd if s_bd < s_bc else s_bc
-                else:
-                    m_b = s_bc if s_bd <= s_bc else s_bd if s_bd < s_ab else s_ab
-                if s_ac < s_bc:
-                    m_c = s_ac if s_cd <= s_ac else s_cd if s_cd < s_bc else s_bc
-                else:
-                    m_c = s_bc if s_cd <= s_bc else s_cd if s_cd < s_ac else s_ac
-                if s_ad < s_bd:
-                    m_d = s_ad if s_cd <= s_ad else s_cd if s_cd < s_bd else s_bd
-                else:
-                    m_d = s_bd if s_cd <= s_bd else s_cd if s_cd < s_ad else s_ad
-                if zero_to_move:
-                    if m_b < m_a:
-                        m_a = m_b
-                    if m_d < m_c:
-                        m_c = m_d
-                    return m_a if m_a < m_c else m_c
-                if m_b > m_a:
-                    m_a = m_b
-                if m_d > m_c:
-                    m_c = m_d
-                return m_a if m_a > m_c else m_c
             if count == 2 or (count == 3 and not can_pass):
                 # Closed-form endgame: the mover labels every free vertex but
                 # one, y, which the opponent labels, so the score depends on
@@ -340,59 +274,179 @@ class _Searcher:
                 lo = -_BIAS + 1
                 hi = _BIAS - 1
             nodes_cell[0] += 1
-            # the free vertices to try: those with no free lower twin
-            movable = free
-            for tw, others in twins:
-                if free & tw:
-                    movable &= others
-            if count >= swing_min_free:
-                # swing order (see the module docstring): one int per movable
-                # vertex, swing << v_shift | v, sorts by swing, then index
-                keys = []
-                rest = movable
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    v = bit.bit_length() - 1
-                    a_v = adj[v]
-                    keys.append(((a_v & one).bit_count() - (a_v & zero).bit_count()) << v_shift | v)
-                keys.sort()
-                order = [move_bits[k & v_mask] for k in keys]
+            if count == 5 and passes >= budget:
+                # Closed-form endgame with no pass left: the mover labels three
+                # free vertices and the opponent a pair {y, z}, so the score
+                # depends on that pair alone.  After the mover's x and the
+                # opponent's y, the three-free child is worth the median of y's
+                # pair scores with the other three (the closed form above).  The
+                # scores are negated when the one player moves, so either way
+                # the mover minimises over x the opponent's best y.
+                opp = one if zero_to_move else zero
+                a_bit = free & -free
+                rest = free ^ a_bit
+                b_bit = rest & -rest
+                rest ^= b_bit
+                c_bit = rest & -rest
+                rest ^= c_bit
+                d_bit = rest & -rest
+                e_bit = rest ^ d_bit
+                a = a_bit.bit_length() - 1
+                b = b_bit.bit_length() - 1
+                c = c_bit.bit_length() - 1
+                d = d_bit.bit_length() - 1
+                e = e_bit.bit_length() - 1
+                a_adj, b_adj, c_adj, d_adj = adj[a], adj[b], adj[c], adj[d]
+                h_a = (a_adj & opp).bit_count()
+                h_b = (b_adj & opp).bit_count()
+                h_c = (c_adj & opp).bit_count()
+                h_d = (d_adj & opp).bit_count()
+                h_e = (adj[e] & opp).bit_count()
+                # base: the signed score with every free vertex the mover's; t_u:
+                # what giving u to the opponent adds to it, as its h_u edges to
+                # the opponent leave the cut and its deg[u] - h_u others join it
+                base = 2 * (cross + h_a + h_b + h_c + h_d + h_e) - edge_count
+                t_a = 2 * (deg[a] - 2 * h_a)
+                t_b = 2 * (deg[b] - 2 * h_b)
+                t_c = 2 * (deg[c] - 2 * h_c)
+                t_d = 2 * (deg[d] - 2 * h_d)
+                t_e = 2 * (deg[e] - 2 * h_e)
+                # the score when the opponent holds {y, z}: an edge y ~ z is not cut
+                s_ab = base + t_a + t_b - (4 if a_adj & b_bit else 0)
+                s_ac = base + t_a + t_c - (4 if a_adj & c_bit else 0)
+                s_ad = base + t_a + t_d - (4 if a_adj & d_bit else 0)
+                s_ae = base + t_a + t_e - (4 if a_adj & e_bit else 0)
+                s_bc = base + t_b + t_c - (4 if b_adj & c_bit else 0)
+                s_bd = base + t_b + t_d - (4 if b_adj & d_bit else 0)
+                s_be = base + t_b + t_e - (4 if b_adj & e_bit else 0)
+                s_cd = base + t_c + t_d - (4 if c_adj & d_bit else 0)
+                s_ce = base + t_c + t_e - (4 if c_adj & e_bit else 0)
+                s_de = base + t_d + t_e - (4 if d_adj & e_bit else 0)
+                if cordiality:
+                    s_ab, s_ac, s_ad, s_ae, s_bc = abs(s_ab), abs(s_ac), abs(s_ad), abs(s_ae), abs(s_bc)
+                    s_bd, s_be, s_cd, s_ce, s_de = abs(s_bd), abs(s_be), abs(s_cd), abs(s_ce), abs(s_de)
+                if not zero_to_move:
+                    s_ab, s_ac, s_ad, s_ae, s_bc = -s_ab, -s_ac, -s_ad, -s_ae, -s_bc
+                    s_bd, s_be, s_cd, s_ce, s_de = -s_bd, -s_be, -s_cd, -s_ce, -s_de
+                # v: the opponent's best y after the mover's x, for x = a to e
+                # in turn, each m the median of one y; g_val: the least v
+                v = (s_bd if s_be <= s_bd else s_be if s_be < s_bc else s_bc) if s_bd < s_bc else (
+                    s_bc if s_be <= s_bc else s_be if s_be < s_bd else s_bd)
+                m = (s_cd if s_ce <= s_cd else s_ce if s_ce < s_bc else s_bc) if s_cd < s_bc else (
+                    s_bc if s_ce <= s_bc else s_ce if s_ce < s_cd else s_cd)
+                v = m if m > v else v
+                m = (s_cd if s_de <= s_cd else s_de if s_de < s_bd else s_bd) if s_cd < s_bd else (
+                    s_bd if s_de <= s_bd else s_de if s_de < s_cd else s_cd)
+                v = m if m > v else v
+                m = (s_ce if s_de <= s_ce else s_de if s_de < s_be else s_be) if s_ce < s_be else (
+                    s_be if s_de <= s_be else s_de if s_de < s_ce else s_ce)
+                v = m if m > v else v
+                g_val = v
+                v = (s_ad if s_ae <= s_ad else s_ae if s_ae < s_ac else s_ac) if s_ad < s_ac else (
+                    s_ac if s_ae <= s_ac else s_ae if s_ae < s_ad else s_ad)
+                m = (s_cd if s_ce <= s_cd else s_ce if s_ce < s_ac else s_ac) if s_cd < s_ac else (
+                    s_ac if s_ce <= s_ac else s_ce if s_ce < s_cd else s_cd)
+                v = m if m > v else v
+                m = (s_cd if s_de <= s_cd else s_de if s_de < s_ad else s_ad) if s_cd < s_ad else (
+                    s_ad if s_de <= s_ad else s_de if s_de < s_cd else s_cd)
+                v = m if m > v else v
+                m = (s_ce if s_de <= s_ce else s_de if s_de < s_ae else s_ae) if s_ce < s_ae else (
+                    s_ae if s_de <= s_ae else s_de if s_de < s_ce else s_ce)
+                v = m if m > v else v
+                g_val = v if v < g_val else g_val
+                v = (s_ad if s_ae <= s_ad else s_ae if s_ae < s_ab else s_ab) if s_ad < s_ab else (
+                    s_ab if s_ae <= s_ab else s_ae if s_ae < s_ad else s_ad)
+                m = (s_bd if s_be <= s_bd else s_be if s_be < s_ab else s_ab) if s_bd < s_ab else (
+                    s_ab if s_be <= s_ab else s_be if s_be < s_bd else s_bd)
+                v = m if m > v else v
+                m = (s_bd if s_de <= s_bd else s_de if s_de < s_ad else s_ad) if s_bd < s_ad else (
+                    s_ad if s_de <= s_ad else s_de if s_de < s_bd else s_bd)
+                v = m if m > v else v
+                m = (s_be if s_de <= s_be else s_de if s_de < s_ae else s_ae) if s_be < s_ae else (
+                    s_ae if s_de <= s_ae else s_de if s_de < s_be else s_be)
+                v = m if m > v else v
+                g_val = v if v < g_val else g_val
+                v = (s_ac if s_ae <= s_ac else s_ae if s_ae < s_ab else s_ab) if s_ac < s_ab else (
+                    s_ab if s_ae <= s_ab else s_ae if s_ae < s_ac else s_ac)
+                m = (s_bc if s_be <= s_bc else s_be if s_be < s_ab else s_ab) if s_bc < s_ab else (
+                    s_ab if s_be <= s_ab else s_be if s_be < s_bc else s_bc)
+                v = m if m > v else v
+                m = (s_bc if s_ce <= s_bc else s_ce if s_ce < s_ac else s_ac) if s_bc < s_ac else (
+                    s_ac if s_ce <= s_ac else s_ce if s_ce < s_bc else s_bc)
+                v = m if m > v else v
+                m = (s_be if s_ce <= s_be else s_ce if s_ce < s_ae else s_ae) if s_be < s_ae else (
+                    s_ae if s_ce <= s_ae else s_ce if s_ce < s_be else s_be)
+                v = m if m > v else v
+                g_val = v if v < g_val else g_val
+                v = (s_ac if s_ad <= s_ac else s_ad if s_ad < s_ab else s_ab) if s_ac < s_ab else (
+                    s_ab if s_ad <= s_ab else s_ad if s_ad < s_ac else s_ac)
+                m = (s_bc if s_bd <= s_bc else s_bd if s_bd < s_ab else s_ab) if s_bc < s_ab else (
+                    s_ab if s_bd <= s_ab else s_bd if s_bd < s_bc else s_bc)
+                v = m if m > v else v
+                m = (s_bc if s_cd <= s_bc else s_cd if s_cd < s_ac else s_ac) if s_bc < s_ac else (
+                    s_ac if s_cd <= s_ac else s_cd if s_cd < s_bc else s_bc)
+                v = m if m > v else v
+                m = (s_bd if s_cd <= s_bd else s_cd if s_cd < s_ad else s_ad) if s_bd < s_ad else (
+                    s_ad if s_cd <= s_ad else s_cd if s_cd < s_bd else s_bd)
+                v = m if m > v else v
+                g_val = v if v < g_val else g_val
+                if not zero_to_move:
+                    g_val = -g_val
+                lo = hi = g_val
             else:
-                order = static_order
-            if zero_to_move:
-                g_val = _BIAS
-                for v, bit in order:
-                    if not movable & bit:
-                        continue
-                    inc = (adj[v] & one).bit_count()
-                    value = search(zero | bit, one, free ^ bit, passes, False,
-                                   cross + inc, gamma)
-                    if value < g_val:
-                        g_val = value
-                        if g_val <= gamma:
-                            break
-            else:
-                g_val = -_BIAS
-                for v, bit in order:
-                    if not movable & bit:
-                        continue
-                    inc = (adj[v] & zero).bit_count()
-                    value = search(zero, one | bit, free ^ bit, passes, True,
-                                   cross + inc, gamma)
-                    if value > g_val:
-                        g_val = value
-                        if g_val > gamma:
-                            break
-                if can_pass and g_val <= gamma:
-                    value = search(zero, one, free, passes + 1, True, cross, gamma)
-                    if value > g_val:
-                        g_val = value
-            # lo <= gamma < hi here, so the new bound is the tighter one
-            if g_val <= gamma:
-                hi = g_val
-            else:
-                lo = g_val
+                # the free vertices to try: those with no free lower twin
+                movable = free
+                for tw, others in twins:
+                    if free & tw:
+                        movable &= others
+                if count >= swing_min_free:
+                    # swing order (see the module docstring): one int per movable
+                    # vertex, swing << v_shift | v, sorts by swing, then index
+                    keys = []
+                    rest = movable
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        v = bit.bit_length() - 1
+                        a_v = adj[v]
+                        keys.append(((a_v & one).bit_count() - (a_v & zero).bit_count()) << v_shift | v)
+                    keys.sort()
+                    order = [move_bits[k & v_mask] for k in keys]
+                else:
+                    order = static_order
+                if zero_to_move:
+                    g_val = _BIAS
+                    for v, bit in order:
+                        if not movable & bit:
+                            continue
+                        inc = (adj[v] & one).bit_count()
+                        value = search(zero | bit, one, free ^ bit, passes, False,
+                                       cross + inc, gamma)
+                        if value < g_val:
+                            g_val = value
+                            if g_val <= gamma:
+                                break
+                else:
+                    g_val = -_BIAS
+                    for v, bit in order:
+                        if not movable & bit:
+                            continue
+                        inc = (adj[v] & zero).bit_count()
+                        value = search(zero, one | bit, free ^ bit, passes, True,
+                                       cross + inc, gamma)
+                        if value > g_val:
+                            g_val = value
+                            if g_val > gamma:
+                                break
+                    if can_pass and g_val <= gamma:
+                        value = search(zero, one, free, passes + 1, True, cross, gamma)
+                        if value > g_val:
+                            g_val = value
+                # lo <= gamma < hi here, so the new bound is the tighter one
+                if g_val <= gamma:
+                    hi = g_val
+                else:
+                    lo = g_val
             if entry is None and len(table) >= capacity:
                 table.clear()
                 warn_capacity()

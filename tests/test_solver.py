@@ -142,30 +142,37 @@ def test_balance_node_count_is_pinned():
     # records the before and after counts in CHANGES.md.  The static degree
     # order expanded 10961 nodes here; swing order from five free vertices
     # expanded 6902, and skipping twins 6840; valuing four-free positions in
-    # closed form, with swing order from six free vertices, expands 3708.
+    # closed form, with swing order from six free vertices, expanded 3708;
+    # valuing five-free positions with no pass left in closed form instead,
+    # as counted table entries, with four-free ones searched, expands 3682.
     rng = random.Random(2024)
     graphs = [random_connected_graph(n, 0.4, rng) for n in (8, 9, 10) for _ in range(4)]
     total = sum(solve(g, ZERO_STARTS, Objective.BALANCE, line=True).nodes for g in graphs)
-    assert total == 3708
+    assert total == 3682
     # The principal-line descent's work: probing each child until it was
     # shown to keep or miss the value expanded 76085 nodes here; one probe
-    # per child expands 62800.
+    # per child expanded 62800; the five-free closed form in place of the
+    # four-free one expands 63614, as a four-free position reached with no
+    # pass left, mostly through a pass, is now searched.
     paths = [path_graph(n) for n in range(3, 14)]
     total = sum(solve(g, ONE_STARTS_WITH_PASS, Objective.BALANCE).nodes for g in paths)
-    assert total == 62800
+    assert total == 63614
 
 
 def test_star_node_count_is_pinned():
     # The leaves of a star are twins, so the search tries one free leaf per
     # position: without twin pruning these solves expand 281236 nodes, with
-    # it 1894, and with four-free positions valued in closed form 1634.
+    # it 1894, and with four-free positions valued in closed form 1634; with
+    # five-free positions with no pass left in closed form instead they
+    # expand 1668, as a four-free position reached with no pass left,
+    # through a pass or a probe of the line descent, is now searched.
     total = sum(
         solve(star_graph(n), variant, objective).nodes
         for n in range(8, 16)
         for variant in ALL_VARIANTS
         for objective in (Objective.CORDIALITY, Objective.BALANCE)
     )
-    assert total == 1634
+    assert total == 1668
 
 
 def test_oracle_equals_solver_on_small_paths_and_trees():
@@ -253,7 +260,7 @@ def test_endgame_closed_form_matches_plain_recursion():
     rng = random.Random(2718)
     graphs = [tree for n in range(2, 8) for tree in enumerate_trees(n)]
     graphs += [random_connected_graph(n, 0.5, rng) for n in (6, 7, 8, 8)]
-    inputs = [(g, (2, 3, 4)) for g in graphs]  # every endgame position
+    inputs = [(g, (2, 3, 4, 5)) for g in graphs]  # every endgame position
     # every position at any free count, so the root probe loop also meets
     # balance values below its first window at the parity floor
     small = [tree for n in range(1, 7) for tree in enumerate_trees(n)]
@@ -261,6 +268,7 @@ def test_endgame_closed_form_matches_plain_recursion():
     inputs += [(g, range(g.n + 1)) for g in small]
     one_may_pass_at_three = 0
     pass_left_at_four = 0
+    pass_left_at_five = 0
     below_first_window = 0
     for g, free_counts in inputs:
         for variant in ALL_VARIANTS:
@@ -268,7 +276,9 @@ def test_endgame_closed_form_matches_plain_recursion():
             for state in states:
                 free_count = g.n - (state.zero_mask | state.one_mask).bit_count()
                 one_may_pass_at_three += free_count == 3 and PASS in legal_moves(state)
-                pass_left_at_four += free_count == 4 and state.passes_used < variant.pass_budget
+                pass_left = state.passes_used < variant.pass_budget
+                pass_left_at_four += free_count == 4 and pass_left
+                pass_left_at_five += free_count == 5 and pass_left
             for objective in (Objective.CORDIALITY, Objective.BALANCE):
                 searcher = _Searcher(g, variant, objective)
                 reference = position_values(g, variant, objective)
@@ -281,7 +291,34 @@ def test_endgame_closed_form_matches_plain_recursion():
     # the positions where the closed form must not fire are among those checked
     assert one_may_pass_at_three > 0
     assert pass_left_at_four > 0
+    assert pass_left_at_five > 0
     assert below_first_window > 0
+
+
+def test_five_free_store_meets_a_full_table(monkeypatch):
+    # A five-free position with no pass left is valued in closed form and
+    # stored through the capacity check of every other store: at capacity 1
+    # each such store after the first meets a full table, at capacity 0 every
+    # one does, and each clears the table, warns and keeps the value.
+    g = random_connected_graph(8, 0.7, random.Random(31))
+    assert g.edge_count == 23  # of the 28 pairs
+    for capacity in (1, 0):
+        monkeypatch.setattr(cordiality.solver, "TABLE_CAPACITY", capacity)
+        for variant in ALL_VARIANTS:
+            states = [
+                state for state in _reachable_positions(g, variant, (5,))
+                if state.passes_used >= variant.pass_budget
+            ]
+            assert states
+            for objective in (Objective.CORDIALITY, Objective.BALANCE):
+                searcher = _Searcher(g, variant, objective)
+                reference = position_values(g, variant, objective)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    for _, _, zero, one, passes in states:
+                        assert searcher.state_value(zero, one, passes) == reference(zero, one, passes)
+                assert any("capacity" in str(w.message) for w in caught)
+                assert solve(g, variant, objective).value == reference(0, 0, 0)
 
 
 def test_probe_bound_holds_at_every_gamma():
