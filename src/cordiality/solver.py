@@ -22,9 +22,9 @@ pass, is valued in closed form: it is never probed, stored or counted, so
 A position with five free vertices and no pass left does: once its probe
 misses, it is counted, valued in closed form from its ten pair scores and
 stored as an exact entry.  Four-free positions are searched, down to the
-closed forms at two and three free.  On a path numbered in path order
-with at least ``_REVERSAL_MIN_N`` vertices, a position and its mirror
-image share one table key.
+closed forms at two and three free.  On a path in index order, the
+vertices numbered along the path, with up to 32 vertices, a position and
+its mirror image share one table key.
 
 Move order changes only the work.  Under cordiality every position tries
 free vertices in one static order, highest degree first: the score is
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+from functools import cache
 from typing import NamedTuple
 
 from .game import (
@@ -81,14 +82,6 @@ TABLE_CAPACITY = 4_000_000
 # recursion limit less this many vertices, the frames left for its callers.
 RECURSION_HEADROOM = 100
 
-# On a path numbered in path order with at least this many vertices, a key
-# folds with its mirror image.  Measured on one pinned Xeon core, cg alone,
-# folding off against on: n = 16 8.7 s and 221 MB against 6.3 s and 118 MB;
-# n = 15 1.77 s against 1.50 s.  Folding at every order instead makes the
-# four game numbers, solved with lines, 10-17 % slower: 11.0 against 12.8 ms
-# at n = 10, 0.76 against 0.87 s at n = 14.
-_REVERSAL_MIN_N = 15
-
 # Under balance, a position with at least this many free vertices tries the
 # mover's labels in ascending order of swing (see _Searcher._make_search).
 # Solving the 160 graphs of perfbench's random-batch corpus (seed 1) with
@@ -102,7 +95,16 @@ _REVERSAL_MIN_N = 15
 # 10 % and 20 % more nodes.
 _SWING_MIN_FREE = 6
 
-_REV8 = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+@cache
+def _mirror_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The images under ``v -> n - 1 - v``, as n-bit masks, of every mask on
+    the low ``n // 2`` vertices and of every mask on the others, shifted down."""
+    h = n // 2
+    rev_low = tuple(int(f"{m:0{h}b}"[::-1], 2) << n - h for m in range(1 << h))
+    rev_high = tuple(int(f"{m:0{n - h}b}"[::-1], 2) for m in range(1 << n - h))
+    return rev_low, rev_high
+
 
 # packed table entries: (lo + _BIAS) << _SHIFT | (hi + _BIAS)
 _BIAS = 512
@@ -168,18 +170,14 @@ class _Searcher:
         swing_min_free = n + 1 if cordiality else _SWING_MIN_FREE
         v_shift = n.bit_length()
         v_mask = (1 << v_shift) - 1
-        reverse = n >= _REVERSAL_MIN_N and g.edges == tuple((v, v + 1) for v in range(n - 1))
+        # a path in index order folds each key with its mirror image; past 32
+        # vertices the tables would pass 2^16 entries, and no search that
+        # large finishes
+        reverse = n <= 32 and edge_count == n - 1 and g.edges == tuple((v, v + 1) for v in range(n - 1))
         if reverse:
-            rev_bytes = (n + 7) // 8
-            rev_shift = 8 * rev_bytes - n
-            rev8 = _REV8
-
-            def rev_mask(mask: int) -> int:
-                out = 0
-                for _ in range(rev_bytes):
-                    out = out << 8 | rev8[mask & 0xFF]
-                    mask >>= 8
-                return out >> rev_shift
+            h = n // 2
+            low = (1 << h) - 1
+            rev_low, rev_high = _mirror_tables(n)
 
         warned = [False]
         two_n = 2 * n
@@ -258,7 +256,8 @@ class _Searcher:
                 return s_c if s_c < s_b else s_b
             key = passes << two_n | one << n | zero
             if reverse:
-                rk = passes << two_n | rev_mask(one) << n | rev_mask(zero)
+                rk = (passes << two_n | (rev_low[one & low] | rev_high[one >> h]) << n
+                      | rev_low[zero & low] | rev_high[zero >> h])
                 if rk < key:
                     key = rk
             entry = table.get(key)

@@ -59,11 +59,11 @@ def _check_strategy(records, fixture, g, strategy, variant, objective, bound,
     records.append(record)
 
 
-def _verify_small_paths(records, max_n=None) -> None:
+def _verify_small_paths(records, max_n: int) -> None:
     """Exact values and scripts on the paths with 3 to min(6, ``max_n``) vertices."""
     expected = {3: 0, 4: 1, 5: 2, 6: 1}
     for n, value in expected.items():
-        if max_n is not None and n > max_n:
+        if n > max_n:
             break
         g = path_graph(n)
         for variant in (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS):
@@ -149,7 +149,7 @@ def _verify_mb_equiv(records, max_n) -> None:
 # graph past a solver's cap a refusal), in run order; ``cli.FIXTURES`` lists
 # the same names
 FIXTURE_RUNS = {
-    "small-paths": (_verify_small_paths, None, 3, None, None),
+    "small-paths": (_verify_small_paths, 6, 3, None, None),
     "path-bound": (_verify_path_bound, 12, 3, DEFAULT_MAX_N, SolverCapError),
     "tree-bound": (_verify_tree_bound, 8, 2, MAX_ENUM_ORDER, GraphError),
     "balance-bound": (_verify_balance_bound, 10, 2, DEFAULT_MAX_N, SolverCapError),

@@ -9,6 +9,7 @@ import pytest
 from cordiality import (
     Graph,
     emit_graph6,
+    from_edges,
     game_number,
     path_graph,
     random_connected_graph,
@@ -27,6 +28,18 @@ def path_bound_mod6(n: int) -> int:
     """The paper's path bound in its mod-6 form, a second statement of
     ``path_bound`` that the tests check it against."""
     return 2 * (n // 6) + {0: -1, 1: 0, 2: 1, 3: 0, 4: 1, 5: 2}[n % 6]
+
+
+def scrambled_path(n: int, rng: random.Random) -> Graph:
+    """The path on ``n`` vertices under a seeded numbering, drawn again until
+    it is not index order (for ``n >= 3``; every smaller path is in index
+    order), so the solver searches it without folding mirror images."""
+    while True:
+        order = list(range(n))
+        rng.shuffle(order)
+        g = from_edges(n, zip(order, order[1:]))
+        if n < 3 or g != path_graph(n):
+            return g
 
 
 def build_random_corpus() -> list[Graph]:

@@ -7,6 +7,7 @@ seeded random connected graphs on 5 to 9 vertices) comes from conftest.
 
 from __future__ import annotations
 
+import random
 import time
 from itertools import combinations
 
@@ -35,8 +36,8 @@ from cordiality import (
 )
 from cordiality.graphs import cut_size_of_mask, vertex_mask
 from cordiality.oracle import ORACLE_MAX_N
-from cordiality.solver import TABLE_CAPACITY, _REVERSAL_MIN_N
-from conftest import path_bound_mod6
+from cordiality.solver import TABLE_CAPACITY
+from conftest import path_bound_mod6, scrambled_path
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
 GAME_NUMBER_COMBOS = (
@@ -199,22 +200,22 @@ def test_c12_oracle_equivalence_and_option_independence(full_corpus, monkeypatch
                     g, variant, objective
                 ), (g.edges, variant.code, objective.value)
 
-    spot_checks = [path_graph(n) for n in range(4, 9)]
-    spot_checks += enumerate_trees(7)[:4] + [g for g in subjects if not g.is_tree()][:4]
-    for g in spot_checks:
+    # each path twice: in index order, where keys fold with their mirror
+    # images, and under a scrambled numbering, where they never do
+    rng = random.Random(12)
+    spot_checks = [(path_graph(n), scrambled_path(n, rng)) for n in range(4, 9)]
+    spot_checks += [(g,) for g in enumerate_trees(7)[:4] + [g for g in subjects if not g.is_tree()][:4]]
+    for numberings in spot_checks:
         for variant in ALL_VARIANTS:
             for objective in (Objective.CORDIALITY, Objective.BALANCE):
                 values = set()
-                # path reversal at its own order and forced on (the spot-check
-                # paths are below the order where the solver turns it on),
-                # each with the default table, a 50-entry table that fills and
-                # clears mid-search, and a table of one entry
-                for reversal_min_n in (_REVERSAL_MIN_N, 1):
+                # each numbering with the default table, a 50-entry table that
+                # fills and clears mid-search, and a table of one entry
+                for g in numberings:
                     for capacity in (TABLE_CAPACITY, 50, 0):
-                        monkeypatch.setattr(cordiality.solver, "_REVERSAL_MIN_N", reversal_min_n)
                         monkeypatch.setattr(cordiality.solver, "TABLE_CAPACITY", capacity)
                         values.add(solve(g, variant, objective).value)
-                assert len(values) == 1, (g.edges, variant.code, objective.value)
+                assert len(values) == 1, (numberings[0].edges, variant.code, objective.value)
     verdict(
         f"solver equals the reference evaluator on {len(subjects)} corpus graphs x 6 "
         "variant/objective combos; value invariant across options"

@@ -33,8 +33,10 @@ from cordiality.solver import (
     TABLE_CAPACITY,
     SolveResult,
     _descend_line,
+    _mirror_tables,
     _Searcher,
 )
+from conftest import scrambled_path
 
 ALL_VARIANTS = (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS)
 
@@ -87,20 +89,54 @@ def test_game_number_dispatch():
         game_number(p6, "nope")
 
 
-def test_symmetry_requires_path_order(monkeypatch):
-    # neither graph is a path in path order, so the solver searches both
+def test_symmetry_requires_path_order():
+    # neither graph is a path in index order, so the solver searches both
     # without folding keys under reversal
     scrambled = from_edges(3, [(0, 2), (2, 1)])  # a path, but not in index order
     for g in (star_graph(4), scrambled):
         for variant in ALL_VARIANTS:
             for objective in (Objective.CORDIALITY, Objective.BALANCE):
                 assert solve(g, variant, objective).value == brute_force_value(g, variant, objective)
+    # P8 in index order folds its keys, and the same path under a scrambled
+    # numbering does not: the values agree, and on cg the folded search
+    # expands fewer nodes
     p8 = path_graph(8)
-    plain = solve(p8, ZERO_STARTS, Objective.CORDIALITY)
-    monkeypatch.setattr(cordiality.solver, "_REVERSAL_MIN_N", 1)
+    unfolded = scrambled_path(8, random.Random(8))
+    for variant in ALL_VARIANTS:
+        for objective in (Objective.CORDIALITY, Objective.BALANCE):
+            assert solve(p8, variant, objective).value == solve(unfolded, variant, objective).value
     folded = solve(p8, ZERO_STARTS, Objective.CORDIALITY)
-    assert folded.value == plain.value
+    plain = solve(unfolded, ZERO_STARTS, Objective.CORDIALITY)
     assert folded.nodes < plain.nodes
+
+
+def test_path_values_do_not_depend_on_numbering():
+    # index order folds mirror images and a scrambled numbering does not, so
+    # this also checks the fold against the plain search on every small path
+    rng = random.Random(16)
+    for n in range(13):
+        numberings = (scrambled_path(n, rng), scrambled_path(n, rng))
+        for variant in ALL_VARIANTS:
+            for objective in (Objective.CORDIALITY, Objective.BALANCE):
+                value = solve(path_graph(n), variant, objective, line=False).value
+                for g in numberings:
+                    got = solve(g, variant, objective, line=False).value
+                    assert got == value, (g.edges, variant.code, objective.value)
+
+
+def test_mirror_tables_reverse_every_mask():
+    for n in range(17):
+        h = n // 2
+        low = (1 << h) - 1
+        rev_low, rev_high = _mirror_tables(n)
+        for m in range(1 << n):
+            assert rev_low[m & low] | rev_high[m >> h] == int(f"{m:0{n}b}"[::-1], 2), (n, m)
+    # the tables are built for a path in index order up to 32 vertices only
+    for n, built in ((32, 1), (33, 0)):
+        before = _mirror_tables.cache_info()
+        _Searcher(path_graph(n), ZERO_STARTS, Objective.CORDIALITY)
+        after = _mirror_tables.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == built, n
 
 
 def test_principal_line_replays_to_value():
@@ -152,11 +188,13 @@ def test_balance_node_count_is_pinned():
     # The principal-line descent's work: probing each child until it was
     # shown to keep or miss the value expanded 76085 nodes here; one probe
     # per child expanded 62800; the five-free closed form in place of the
-    # four-free one expands 63614, as a four-free position reached with no
-    # pass left, mostly through a pass, is now searched.
+    # four-free one expanded 63614, as a four-free position reached with no
+    # pass left, mostly through a pass, is now searched; folding each key
+    # with its mirror image on every path, not only from 15 vertices, expands
+    # 51391.
     paths = [path_graph(n) for n in range(3, 14)]
     total = sum(solve(g, ONE_STARTS_WITH_PASS, Objective.BALANCE).nodes for g in paths)
-    assert total == 63614
+    assert total == 51391
 
 
 def test_star_node_count_is_pinned():
