@@ -283,7 +283,7 @@ def cmd_mb(args, out) -> int:
             }
         )
     emit_records(records, args.format, out)
-    return EXIT_OK
+    return EXIT_OK if all(record["match"] for record in records) else EXIT_VERIFY_FAILED
 
 
 def cmd_trees(args, out) -> int:

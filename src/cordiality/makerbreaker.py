@@ -7,7 +7,10 @@ signed 2*cut - |E| <= k under balance).  Maker moves as the zero player
 and wins if the set it has claimed at the end is a member of the family;
 Breaker moves as the one player and tries to prevent that.  Members are
 vertex masks (bit i is vertex i), the encoding of the solver's positions,
-so a final position is scored by one set lookup of its zero mask.
+so a final position is scored by one set lookup of its zero mask.  A
+position with at most four free vertices is decided in closed form, by
+membership tests on the few final zero sets it can still reach; only
+positions with five or more free vertices are searched and memoized.
 
 This solver shares no search code with the minimax solver (only its cap
 exception, so a refusal exits the CLI like a solver refusal); agreement
@@ -70,14 +73,64 @@ def _maker_wins(g: Graph, members: frozenset[int], variant: Variant) -> bool:
 
     def wins(zero: int, one: int, passes: int) -> bool:
         free = full & ~(zero | one)
-        if free == 0:
-            return zero in members
+        count = free.bit_count()
+        zero_to_move = starter_is_zero == ((n - count + passes) % 2 == 0)
+        if count <= 4:
+            # Closed forms, by the free vertices a < b < c < d; a pair is the
+            # zero set with two of them added.  A Breaker pass needs two free
+            # vertices, and at two it only hands Maker the choice, so the
+            # pass first counts at three.
+            if count <= 1:
+                return (zero | free if zero_to_move else zero) in members
+            a = free & -free
+            if count == 2:
+                if zero_to_move:
+                    return zero | a in members or zero | free ^ a in members
+                return zero | a in members and zero | free ^ a in members
+            rest = free ^ a
+            b = rest & -rest
+            rest ^= b
+            c = rest & -rest
+            pass_left = passes < budget
+            if count == 3:
+                # Maker claims x and then needs both pairs through x;
+                # Breaker claims x and Maker then needs one of the other two
+                pairs = (zero | a | b in members) + (zero | a | c in members) + (zero | b | c in members)
+                if zero_to_move:
+                    return pairs >= 2
+                singles = (zero | a in members) + (zero | b in members) + (zero | c in members)
+                return singles >= 2 and (not pass_left or pairs >= 2)
+            d = rest ^ c
+            ab = zero | a | b in members
+            ac = zero | a | c in members
+            ad = zero | a | d in members
+            bc = zero | b | c in members
+            bd = zero | b | d in members
+            cd = zero | c | d in members
+            if zero_to_move:
+                # Maker claims x and then needs two of the pairs through x;
+                # with a pass left, also two of the triples through x
+                if not pass_left:
+                    return ab + ac + ad >= 2 or ab + bc + bd >= 2 or ac + bc + cd >= 2 or ad + bd + cd >= 2
+                na = zero | free ^ a in members
+                nb = zero | free ^ b in members
+                nc = zero | free ^ c in members
+                nd = zero | free ^ d in members
+                return (
+                    ab + ac + ad >= 2 and nb + nc + nd >= 2
+                    or ab + bc + bd >= 2 and na + nc + nd >= 2
+                    or ac + bc + cd >= 2 and na + nb + nd >= 2
+                    or ad + bd + cd >= 2 and na + nb + nc >= 2
+                )
+            # Breaker claims x; Maker then needs two of the pairs without x.
+            # A pass (a variant holds one at most) cannot help Breaker here:
+            # when each three vertices hold two member pairs, some vertex
+            # lies on two of them, which is Maker's win after the pass
+            return bc + bd + cd >= 2 and ac + ad + cd >= 2 and ab + ad + bd >= 2 and ab + ac + bc >= 2
         key = passes << two_n | one << n | zero
         cached = memo.get(key)
         if cached is not None:
             return cached
-        plies = zero.bit_count() + one.bit_count() + passes
-        zero_to_move = starter_is_zero == (plies % 2 == 0)
         if zero_to_move:
             result = False
             rest = free
@@ -96,7 +149,7 @@ def _maker_wins(g: Graph, members: frozenset[int], variant: Variant) -> bool:
                 if not wins(zero, one | low, passes):
                     result = False
                     break
-            if result and passes < budget and free & (free - 1):
+            if result and passes < budget:
                 result = wins(zero, one, passes + 1)
         memo[key] = result
         return result

@@ -106,6 +106,12 @@ def _mirror_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return rev_low, rev_high
 
 
+@cache
+def _index_path_edges(n: int) -> tuple[tuple[int, int], ...]:
+    """The edges of the path on n vertices in index order."""
+    return tuple((v, v + 1) for v in range(n - 1))
+
+
 # packed table entries: (lo + _BIAS) << _SHIFT | (hi + _BIAS)
 _BIAS = 512
 _SHIFT = 11
@@ -173,7 +179,7 @@ class _Searcher:
         # a path in index order folds each key with its mirror image; past 32
         # vertices the tables would pass 2^16 entries, and no search that
         # large finishes
-        reverse = n <= 32 and edge_count == n - 1 and g.edges == tuple((v, v + 1) for v in range(n - 1))
+        reverse = n <= 32 and edge_count == n - 1 and g.edges == _index_path_edges(n)
         if reverse:
             h = n // 2
             low = (1 << h) - 1

@@ -183,12 +183,12 @@ def test_c11_maker_breaker_equivalence(solved):
         g = path_graph(n)
         for name, variant, objective in GAME_NUMBER_COMBOS:
             assert maker_breaker_value(g, variant, objective) == solved(g, name), (n, name)
-    for n in range(2, 9):
+    for n in range(2, 10):
         for tree in enumerate_trees(n):
             for name, variant, objective in GAME_NUMBER_COMBOS:
                 mb = maker_breaker_value(tree, variant, objective)
                 assert mb == solve(tree, variant, objective).value, (n, tree.edges, name)
-    verdict("maker-breaker value equals game value for paths to 12 and all trees to 8")
+    verdict("maker-breaker value equals game value for paths to 12 and all trees to 9")
 
 
 def test_c12_oracle_equivalence_and_option_independence(full_corpus, monkeypatch):

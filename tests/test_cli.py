@@ -322,6 +322,18 @@ def test_mb_command_matches_and_exports():
     assert text.splitlines()[0] == "3 4"
 
 
+def test_mb_mismatch_exits_one(monkeypatch):
+    import cordiality.makerbreaker as makerbreaker
+
+    true_value = makerbreaker.maker_breaker_value
+    monkeypatch.setattr(makerbreaker, "maker_breaker_value", lambda *args: true_value(*args) + 2)
+    code, text = run_cli(["mb", "--graph", "path:6"])
+    assert code == 1
+    (record,) = jsonl(text)
+    assert record["mb_value"] == 3 and record["game_value"] == 1
+    assert record["match"] is False
+
+
 def test_trees_listing():
     code, text = run_cli(["trees", "7"])
     assert code == 0

@@ -1,4 +1,5 @@
 import gc
+import random
 from itertools import combinations
 
 import pytest
@@ -15,8 +16,9 @@ from cordiality import (
     star_graph,
     winning_family,
 )
-from cordiality.game import replay
-from cordiality.graphs import vertex_mask
+from cordiality.game import Player, replay
+from cordiality.graphs import iter_bits, vertex_mask
+from cordiality.makerbreaker import _maker_wins
 
 P6_BAD_SETS = {
     vertex_mask(s) for s in (
@@ -81,6 +83,53 @@ def test_equivalence_small_paths():
             (ZERO_STARTS, Objective.BALANCE),
         ):
             assert maker_breaker_value(g, variant, objective) == solve(g, variant, objective).value
+
+
+def reference_maker_wins(n, members, variant):
+    """Maker's win from the empty position by plain recursion: no memo and
+    no closed forms, with a Breaker pass wherever two vertices are free."""
+    full = (1 << n) - 1
+
+    def wins(zero, one, passes):
+        free = full & ~(zero | one)
+        if not free:
+            return zero in members
+        plies = zero.bit_count() + one.bit_count() + passes
+        moves = [1 << v for v in iter_bits(free)]
+        if (variant.starter is Player.ZERO) == (plies % 2 == 0):
+            return any(wins(zero | m, one, passes) for m in moves)
+        if not all(wins(zero, one | m, passes) for m in moves):
+            return False
+        return passes >= variant.pass_budget or len(moves) < 2 or wins(zero, one, passes + 1)
+
+    return wins(0, 0, 0)
+
+
+def test_closed_forms_match_plain_recursion():
+    # every family of balanced parts on 1-4 vertices, where the empty
+    # position itself is closed-form, and a seeded sample on 5 and 6, where
+    # the closed forms decide the leaves of a search
+    rng = random.Random(5)
+    checked = 0
+    for n, samples in ((1, None), (2, None), (3, None), (4, None), (5, 1000), (6, 800)):
+        g = path_graph(n)
+        parts = [m for m in range(1 << n) if m.bit_count() in (n // 2, (n + 1) // 2)]
+        if samples is None:
+            families = [
+                frozenset(m for i, m in enumerate(parts) if pick >> i & 1)
+                for pick in range(1 << len(parts))
+            ]
+        else:
+            families = []
+            for _ in range(samples):
+                density = rng.random()
+                families.append(frozenset(m for m in parts if rng.random() < density))
+        for members in families:
+            for variant in (ZERO_STARTS, ONE_STARTS, ONE_STARTS_WITH_PASS):
+                expected = reference_maker_wins(n, members, variant)
+                assert _maker_wins(g, members, variant) == expected, (n, sorted(members), variant.code)
+                checked += 1
+    assert checked == 3 * (4 + 4 + 64 + 64 + 1000 + 800)
 
 
 def test_principal_line_terminal_set_membership():
